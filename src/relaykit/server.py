@@ -1,11 +1,15 @@
 """Thread-per-client relay server.
 
-Each accepted connection gets a dedicated worker thread that runs the
-handshake, then the request loop.  A shared registry maps client IDs to
-per-client delivery queues; routing a message means looking the recipient up
-under the registry lock and enqueueing outside it, so the locked region stays
-O(1) and never serializes traffic.  A client's own worker is the only thing
-that dequeues from its queue and the only thing that writes to its socket.
+Each accepted connection gets a reader thread that runs the handshake, then
+the request loop, and once the client registers a writer thread of its own.  A
+shared registry maps client IDs to per-client mailboxes; routing a message
+means looking the recipient up under the registry lock and enqueueing outside
+it, so the locked region stays O(1) and never serializes traffic.  The writer
+blocks on its client's mailbox and writes each DELIVER the moment it is
+queued, so delivery never waits for the recipient's reader.  The reader blocks
+in ``recv_frame``, answers ECHO, REGISTER and errors inline, and wakes every
+``poll_interval_s`` only to check for shutdown.  Both write to the same
+endpoint, which keeps their frames whole.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class RegistryFull(RoutingError):
 class DeliveryHandle:
     """Bounded mailbox for one client.
 
-    Any worker may enqueue; only the owning client's worker dequeues.
+    Any reader may enqueue; only the owning client's writer dequeues.
     """
 
     def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
@@ -83,9 +87,15 @@ class DeliveryHandle:
         except queue.Full:
             return False
 
-    def drain(self) -> list[Frame]:
-        """Remove everything currently queued (owner only)."""
-        out = []
+    def drain(self, timeout: float = 0.0) -> list[Frame]:
+        """Wait up to ``timeout`` for a frame, then remove everything queued (owner only).
+
+        Returns an empty list when nothing arrived in time.
+        """
+        try:
+            out = [self.queue.get(timeout=timeout)]
+        except queue.Empty:
+            return []
         while True:
             try:
                 out.append(self.queue.get_nowait())
@@ -149,8 +159,9 @@ class Registry:
     def broadcast(self, from_id: str, message: bytes) -> int:
         """Enqueue DELIVER for every client in a snapshot except the sender.
 
-        A busy recipient is skipped, never aborts the broadcast.  Returns the
-        number actually enqueued.
+        A full mailbox is skipped at once: it neither stalls the sender for
+        ``enqueue_wait_s`` nor aborts the broadcast.  Returns the number
+        actually enqueued.
         """
         with self._lock:
             if from_id not in self._entries:
@@ -159,7 +170,7 @@ class Registry:
         frame = Frame(MsgKind.DELIVER, pack_addressed(from_id, message))
         delivered = 0
         for cid, handle in snapshot:
-            if handle.offer(frame, self.enqueue_wait_s):
+            if handle.offer(frame, 0):
                 delivered += 1
             else:
                 log.warning("broadcast from %r skipped busy recipient %r", from_id, cid)
@@ -177,7 +188,7 @@ class ServerConfig:
 
 
 class RelayServer:
-    """Acceptor plus one worker thread per client connection."""
+    """Acceptor plus a reader and a writer thread per client connection."""
 
     def __init__(self, listener, config: ServerConfig | None = None):
         self.listener = listener
@@ -195,6 +206,7 @@ class RelayServer:
 
     @property
     def worker_count(self) -> int:
+        """Connections being served: reader threads, not counting writers."""
         with self._workers_lock:
             return len(self._workers)
 
@@ -272,19 +284,30 @@ class RelayServer:
                 self._workers.discard(threading.current_thread())
 
     def _serve_client(self, endpoint) -> None:
-        if self._handshake(endpoint) is None:
+        endpoint.max_payload = self.config.supported.max_payload
+        agreed = self._handshake(endpoint)
+        if agreed is None:
             return
+        endpoint.max_payload = agreed.max_payload
         handle = DeliveryHandle(self.config.queue_capacity)
+        done = threading.Event()
+        writer = threading.Thread(
+            target=self._write_loop,
+            args=(endpoint, handle, done),
+            name=f"{threading.current_thread().name}-writer",
+            daemon=True,
+        )
         client_id: str | None = None
         try:
             while not self._stop.is_set():
                 try:
-                    for frame in handle.drain():
-                        endpoint.send_frame(frame)
                     frame = endpoint.recv_frame(self.config.poll_interval_s)
                 except TimedOut:
                     continue
-                except (ConnectionClosed, ProtocolError):
+                except ConnectionClosed:
+                    break
+                except ProtocolError as exc:
+                    self._send_error(endpoint, ErrorCode.MALFORMED, str(exc))
                     break
                 if frame.kind is MsgKind.BYE:
                     break
@@ -292,15 +315,37 @@ class RelayServer:
                     client_id = self._dispatch(endpoint, frame, client_id, handle)
                 except ConnectionClosed:
                     break
+                # Only a registered client is sent DELIVERs.  Starting its
+                # writer after REGISTER_ACK has gone out keeps them behind it.
+                if client_id is not None and writer.ident is None:
+                    writer.start()
         finally:
-            # Entry must be gone before the worker exits.
+            # Entry must be gone before the worker exits.  Closing the
+            # endpoint also wakes a writer blocked on a peer that stopped
+            # reading.
             if client_id is not None:
                 self.registry.unregister(client_id)
+            done.set()
+            endpoint.close()
+            if writer.ident is not None:
+                writer.join()
+
+    def _write_loop(self, endpoint, handle: DeliveryHandle, done: threading.Event) -> None:
+        try:
+            while not done.is_set():
+                for frame in handle.drain(self.config.poll_interval_s):
+                    endpoint.send_frame(frame)
+        except TransportError:
+            # The peer is gone or stopped reading; end the reader too.
+            endpoint.close()
 
     def _handshake(self, endpoint) -> HandshakeParams | None:
         try:
             frame = endpoint.recv_frame(self.config.handshake_timeout_s)
-        except (TimedOut, ConnectionClosed, ProtocolError):
+        except (TimedOut, ConnectionClosed):
+            return None
+        except ProtocolError as exc:
+            self._send_error(endpoint, ErrorCode.MALFORMED, str(exc))
             return None
         if frame.kind is not MsgKind.HELLO:
             self._send_error(endpoint, ErrorCode.MALFORMED, "expected HELLO")

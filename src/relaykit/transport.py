@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import errno
 import itertools
+import select
 import socket
 import threading
 import time
@@ -22,7 +23,16 @@ from collections import deque
 from dataclasses import replace
 
 from .channel import ChannelConfig, LossyChannel
-from .wire import BadMagic, Frame, HEADER_SIZE, PREAMBLE, decode_frame, encode_frame
+from .wire import (
+    HEADER_SIZE,
+    MAX_PAYLOAD_LEN,
+    PREAMBLE,
+    BadMagic,
+    Frame,
+    PayloadTooLarge,
+    decode_frame,
+    encode_frame,
+)
 
 # Largest UDP payload over IPv4; bigger frames must go over a stream.
 DATAGRAM_LIMIT = 65507
@@ -79,22 +89,33 @@ def _bind(sock: socket.socket, addr: str) -> None:
 
 
 class StreamEndpoint:
-    """A connected TCP endpoint carrying length-delimited frames."""
+    """A connected TCP endpoint carrying length-delimited frames.
 
-    # Writes must not inherit the short poll timeouts recv_frame sets; a
-    # peer that stops draining for this long is treated as gone.
+    One thread may receive while others send: the socket timeout is set once
+    and never touched again, ``recv_frame`` waits for readability with
+    ``select`` instead, and a lock keeps two senders from interleaving the
+    partial writes of their frames.
+    """
+
+    # A peer that stops draining for this long is treated as gone.
     send_timeout_s = 30.0
+    # Largest payload length a received header may declare; a longer one is
+    # refused before any of its payload is buffered.
+    max_payload = MAX_PAYLOAD_LEN
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._sock.settimeout(self.send_timeout_s)
+        self._send_lock = threading.Lock()
         self._buf = bytearray()
         self.local_addr = format_addr(sock.getsockname())
         self.remote_addr = format_addr(sock.getpeername())
 
     def send_frame(self, frame: Frame) -> None:
-        self._sock.settimeout(self.send_timeout_s)
+        data = encode_frame(frame)
         try:
-            self._sock.sendall(encode_frame(frame))
+            with self._send_lock:
+                self._sock.sendall(data)
         except OSError:
             raise ConnectionClosed(f"send to {self.remote_addr} failed") from None
 
@@ -112,12 +133,11 @@ class StreamEndpoint:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimedOut(f"no frame within {timeout:.3f}s")
-            self._sock.settimeout(remaining)
             try:
+                if not select.select([self._sock], [], [], remaining)[0]:
+                    continue
                 chunk = self._sock.recv(_RECV_CHUNK)
-            except socket.timeout:
-                raise TimedOut(f"no frame within {timeout:.3f}s") from None
-            except OSError:
+            except (OSError, ValueError):  # ValueError: closed by another thread
                 raise ConnectionClosed(f"recv from {self.remote_addr} failed") from None
             if not chunk:
                 raise ConnectionClosed(f"peer {self.remote_addr} closed the connection")
@@ -132,6 +152,8 @@ class StreamEndpoint:
         if len(self._buf) < HEADER_SIZE:
             return None
         length = int.from_bytes(self._buf[4:8], "big")
+        if length > self.max_payload:
+            raise PayloadTooLarge(f"frame declares {length} bytes, limit is {self.max_payload}")
         total = HEADER_SIZE + length
         if len(self._buf) < total:
             return None
@@ -313,6 +335,8 @@ class InMemoryListener:
 class InMemoryEndpoint:
     """One side of an in-memory connection."""
 
+    max_payload = MAX_PAYLOAD_LEN  # as on StreamEndpoint
+
     def __init__(self, hub, out_channel, in_channel, local, remote):
         self._hub = hub
         self._out = out_channel
@@ -337,6 +361,11 @@ class InMemoryEndpoint:
                 self._inbox.extend(self._in.pop_ready(self._hub._now))
                 if self._inbox:
                     raw = self._inbox.popleft()
+                    length = len(raw) - HEADER_SIZE
+                    if length > self.max_payload:
+                        raise PayloadTooLarge(
+                            f"frame carries {length} bytes, limit is {self.max_payload}"
+                        )
                     frame, _ = decode_frame(raw)
                     return frame
                 if self._closed:

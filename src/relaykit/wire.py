@@ -72,6 +72,10 @@ class LengthMismatch(ProtocolError):
     """Fewer bytes available than the header declares."""
 
 
+class PayloadTooLarge(ProtocolError):
+    """Header declares a payload longer than the session allows."""
+
+
 class ChecksumMismatch(ProtocolError):
     """Payload byte-sum does not match the checksum field."""
 

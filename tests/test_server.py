@@ -17,8 +17,16 @@ from relaykit.server import (
     ServerConfig,
     UnknownRecipient,
 )
-from relaykit.transport import InMemoryHub, connect, listen
-from relaykit.wire import ErrorCode, Frame, HandshakeParams, MsgKind, pack_hello
+from relaykit.transport import ConnectionClosed, InMemoryHub, connect, listen
+from relaykit.wire import (
+    DEFAULT_PARAMS,
+    ErrorCode,
+    Frame,
+    HandshakeParams,
+    MsgKind,
+    encode_frame,
+    pack_hello,
+)
 
 
 def _wait_until(predicate, timeout=3.0):
@@ -94,6 +102,37 @@ class TestHandshake:
         assert reply.kind is MsgKind.ERROR
         assert reply.payload[0] == ErrorCode.MALFORMED
         endpoint.close()
+
+
+def _hello(endpoint, params=DEFAULT_PARAMS):
+    endpoint.send_frame(Frame(MsgKind.HELLO, pack_hello(params)))
+    assert endpoint.recv_frame(2.0).kind is MsgKind.HELLO_ACK
+
+
+def _expect_error_then_close(endpoint, code):
+    reply = endpoint.recv_frame(2.0)
+    assert reply.kind is MsgKind.ERROR
+    assert reply.payload[0] == code
+    with pytest.raises(ConnectionClosed):
+        endpoint.recv_frame(2.0)
+    endpoint.close()
+
+
+class TestPayloadLimit:
+    def test_negotiated_limit_enforced(self, relay):
+        endpoint = relay.endpoint()
+        _hello(endpoint, HandshakeParams(1, 8, 1024))
+        endpoint.send_frame(Frame(MsgKind.ECHO, b"k" * 1024))
+        assert endpoint.recv_frame(2.0) == Frame(MsgKind.ECHO_REPLY, b"k" * 1024)
+        endpoint.send_frame(Frame(MsgKind.ECHO, b"k" * 1025))
+        _expect_error_then_close(endpoint, ErrorCode.MALFORMED)
+
+    def test_huge_declared_length_refused_without_buffering(self, tcp_relay):
+        endpoint = tcp_relay.endpoint()
+        _hello(endpoint)
+        header = encode_frame(Frame(MsgKind.ECHO))[:4] + (2**32 - 1).to_bytes(4, "big") + b"\0\0"
+        endpoint._sock.sendall(header + b"x" * 4096)
+        _expect_error_then_close(endpoint, ErrorCode.MALFORMED)
 
 
 class TestRegistration:
@@ -242,6 +281,38 @@ class TestRegistryUnit:
         # bob's single slot is now full; he gets skipped, carol still receives
         assert registry.broadcast("alice", b"two") == 1
 
+    def test_broadcast_does_not_wait_on_a_full_mailbox(self):
+        registry = Registry(enqueue_wait_s=1.0)
+        registry.register("alice", DeliveryHandle())
+        full = DeliveryHandle(capacity=1)
+        assert full.offer(Frame(MsgKind.DELIVER), 0)
+        registry.register("bob", full)
+        registry.register("carol", DeliveryHandle())
+        started = time.monotonic()
+        assert registry.broadcast("alice", b"hi") == 1
+        assert time.monotonic() - started < 0.1
+
+    def test_drain_waits_for_the_first_frame_then_takes_all(self):
+        handle = DeliveryHandle()
+        assert handle.drain() == []
+        started = time.monotonic()
+        assert handle.drain(0.05) == []
+        assert time.monotonic() - started >= 0.05
+        frames = [Frame(MsgKind.DELIVER, b"%d" % i) for i in range(3)]
+
+        def feed():
+            time.sleep(0.05)
+            for f in frames:
+                handle.offer(f, 0)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        got = handle.drain(2.0)
+        feeder.join(2.0)
+        assert not feeder.is_alive()
+        got += handle.drain()
+        assert got == frames
+
     def test_broadcast_with_single_client(self):
         registry = Registry()
         registry.register("loner", DeliveryHandle())
@@ -320,6 +391,29 @@ class TestServerLifecycle:
         finally:
             fixture.stop()
 
+    def test_worker_count_counts_readers_only(self, relay):
+        clients = [relay.client(f"c{i}") for i in range(2)]
+        assert _wait_until(
+            lambda: sum(t.name.endswith("-writer") for t in threading.enumerate()) >= 2
+        )
+        assert relay.server.worker_count == 2
+        for c in clients:
+            c.bye()
+
+    @pytest.mark.parametrize("transport", ["tcp", "mem"])
+    def test_shutdown_with_registered_clients_is_prompt(self, transport):
+        poll = 0.25
+        fixture = ServerFixture(transport, ServerConfig(poll_interval_s=poll))
+        clients = [fixture.client(f"c{i}") for i in range(3)]
+        started = time.monotonic()
+        fixture.stop()
+        elapsed = time.monotonic() - started
+        for c in clients:
+            c.close()
+        assert elapsed < 2 * poll + 0.2, elapsed
+        assert fixture.server.worker_count == 0
+        assert not [t.name for t in threading.enumerate() if t.name.endswith("-writer")]
+
     def test_deliver_frames_counted_once(self, relay):
         # every DELIVER corresponds to exactly one DIRECT in a lossless setup
         alice = relay.client("alice")
@@ -331,6 +425,25 @@ class TestServerLifecycle:
         assert bob.next_delivery(0.2) is None  # no duplication
         alice.bye()
         bob.bye()
+
+
+class TestDeliveryLatency:
+    @pytest.mark.parametrize("transport", ["tcp", "mem"])
+    def test_direct_does_not_wait_for_the_poll_interval(self, transport):
+        # The recipient is idle in recv_frame(0.5); its writer must deliver anyway.
+        fixture = ServerFixture(transport, ServerConfig(poll_interval_s=0.5))
+        try:
+            alice = fixture.client("alice")
+            bob = fixture.client("bob")
+            for i in range(20):
+                started = time.monotonic()
+                alice.send_direct("bob", b"now-%02d" % i)
+                assert bob.next_delivery(2.0) == ("alice", b"now-%02d" % i)
+                assert time.monotonic() - started < 0.1, f"message {i}"
+            alice.bye()
+            bob.bye()
+        finally:
+            fixture.stop()
 
 
 class TestIsolationAndSoak:

@@ -18,7 +18,14 @@ from relaykit.transport import (
     listen,
     parse_addr,
 )
-from relaykit.wire import BadMagic, ChecksumMismatch, Frame, MsgKind, encode_frame
+from relaykit.wire import (
+    BadMagic,
+    ChecksumMismatch,
+    Frame,
+    MsgKind,
+    PayloadTooLarge,
+    encode_frame,
+)
 
 
 def test_parse_addr():
@@ -168,6 +175,106 @@ class TestStream:
         client.close()
         server_side.close()
 
+    def test_reader_and_writer_threads_keep_their_own_timeouts(self):
+        # One thread polls recv_frame with a 1 ms timeout while another sends
+        # into a full socket buffer.  The sender must not pick up the poll's
+        # timeout (a spurious ConnectionClosed), nor the poll the sender's
+        # (a recv stuck for send_timeout_s).  Encoding a 2 MiB frame holds
+        # the GIL past the switch interval, so the poller runs in between
+        # the sender's steps.
+        count = 10
+        frame = Frame(MsgKind.ECHO, b"\x5a" * 2**21)
+        for trial in range(2):
+            client, server_side = self._pair()
+            stop = threading.Event()
+            slowest_poll = []
+            received = []
+
+            def poll():
+                worst = 0.0
+                while not stop.is_set():
+                    started = time.monotonic()
+                    try:
+                        client.recv_frame(0.001)
+                    except TimedOut:
+                        pass
+                    except ConnectionClosed:
+                        break
+                    worst = max(worst, time.monotonic() - started)
+                slowest_poll.append(worst)
+
+            def drain():
+                time.sleep(0.2)
+                for _ in range(count):
+                    received.append(server_side.recv_frame(10.0) == frame)
+
+            poller = threading.Thread(target=poll)
+            drainer = threading.Thread(target=drain)
+            poller.start()
+            drainer.start()
+            try:
+                for _ in range(count):
+                    client.send_frame(frame)
+                drainer.join()
+                time.sleep(0.3)  # a poll that inherited the send timeout shows up here
+            finally:
+                stop.set()
+                server_side.close()
+                poller.join(5.0)
+                drainer.join(5.0)
+                client.close()
+            assert not poller.is_alive() and not drainer.is_alive()
+            assert received == [True] * count, f"trial {trial}"
+            assert slowest_poll[0] < 0.2, f"trial {trial}: a 1 ms poll took {slowest_poll[0]:.3f}s"
+
+    def test_concurrent_senders_never_interleave_frames(self):
+        client, server_side = self._pair()
+        # Small socket buffers split every frame into many partial writes.
+        client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 32768)
+        server_side._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32768)
+        senders, per_sender = 4, 5
+
+        def send(k):
+            for _ in range(per_sender):
+                client.send_frame(Frame(MsgKind.ECHO, bytes([k]) * 2**16))
+
+        threads = [threading.Thread(target=send, args=(k,)) for k in range(senders)]
+        for t in threads:
+            t.start()
+        try:
+            got = [server_side.recv_frame(10.0).payload for _ in range(senders * per_sender)]
+        finally:
+            server_side.close()
+            for t in threads:
+                t.join(10.0)
+            client.close()
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(p[0] for p in got) == sorted(list(range(senders)) * per_sender)
+        assert all(p == p[:1] * len(p) for p in got)
+
+    def test_payload_limit_is_inclusive(self):
+        client, server_side = self._pair()
+        server_side.max_payload = 1024
+        client.send_frame(Frame(MsgKind.ECHO, b"a" * 1024))
+        assert server_side.recv_frame(1.0).payload == b"a" * 1024
+        client.send_frame(Frame(MsgKind.ECHO, b"a" * 1025))
+        with pytest.raises(PayloadTooLarge):
+            server_side.recv_frame(1.0)
+        client.close()
+        server_side.close()
+
+    def test_oversized_header_refused_before_its_payload(self):
+        client, server_side = self._pair()
+        server_side.max_payload = 65536
+        header = encode_frame(Frame(MsgKind.ECHO))[:4] + (2**32 - 1).to_bytes(4, "big") + b"\0\0"
+        client._sock.sendall(header)
+        started = time.monotonic()
+        with pytest.raises(PayloadTooLarge):
+            server_side.recv_frame(5.0)
+        assert time.monotonic() - started < 1.0
+        client.close()
+        server_side.close()
+
 
 class TestDatagram:
     def test_one_frame_per_datagram(self):
@@ -229,6 +336,18 @@ class TestInMemory:
         client.close()
         assert server_side.recv_frame(1.0).payload == b"last words"
         with pytest.raises(ConnectionClosed):
+            server_side.recv_frame(1.0)
+
+    def test_payload_limit(self):
+        hub = InMemoryHub()
+        listener = hub.listener()
+        client = hub.connect()
+        server_side = listener.accept(1.0)
+        server_side.max_payload = 16
+        client.send_frame(Frame(MsgKind.ECHO, b"b" * 16))
+        client.send_frame(Frame(MsgKind.ECHO, b"b" * 17))
+        assert server_side.recv_frame(1.0).payload == b"b" * 16
+        with pytest.raises(PayloadTooLarge):
             server_side.recv_frame(1.0)
 
     def test_delayed_channel_still_delivers(self):
