@@ -24,7 +24,7 @@ from enum import IntEnum
 from typing import Sequence
 
 from .channel import ChannelConfig, LossyChannel
-from .wire import LengthMismatch, UnknownKind
+from .wire import LengthMismatch, UnknownKind, byte_sum
 
 _SEG_HEADER = struct.Struct(">BIHH")
 SEGMENT_HEADER_SIZE = _SEG_HEADER.size  # 9 bytes
@@ -48,7 +48,7 @@ class WindowFull(Exception):
 def segment_sum(kind: int, seq: int, payload: bytes) -> int:
     """Byte-sum mod 65536 over header (checksum field zeroed) plus payload."""
     header = _SEG_HEADER.pack(kind, seq, len(payload), 0)
-    return (sum(header) + sum(payload)) & 0xFFFF
+    return (byte_sum(header) + byte_sum(payload)) & 0xFFFF
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ queued, so delivery never waits for the recipient's reader.  The reader blocks
 in ``recv_frame``, answers ECHO, REGISTER and errors inline, and wakes every
 ``poll_interval_s`` only to check for shutdown.  Both write to the same
 endpoint, which keeps their frames whole.
+
+The server enforces what it negotiates: a received frame over the agreed
+``max_payload`` gets ERROR MALFORMED and a close, and no DELIVER is queued
+for a client above the limit that client agreed.  A connection that has not
+registered within ``handshake_timeout_s`` of its HELLO_ACK is closed.
+``shutdown`` closes every client endpoint before joining, so a thread blocked
+in a send to a client that stopped reading cannot hold it.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import logging
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .transport import ConnectionClosed, TimedOut, TransportError
@@ -25,6 +33,7 @@ from .wire import (
     ErrorCode,
     Frame,
     HandshakeParams,
+    MAX_PAYLOAD_LEN,
     MsgKind,
     ProtocolError,
     VersionMismatch,
@@ -70,14 +79,24 @@ class RegistryFull(RoutingError):
     code = ErrorCode.RECIPIENT_BUSY
 
 
+class DeliveryTooLarge(RoutingError):
+    """The DELIVER would exceed the max_payload its recipient negotiated."""
+
+    # The wire format is frozen, so this reuses MALFORMED.
+    code = ErrorCode.MALFORMED
+
+
 class DeliveryHandle:
     """Bounded mailbox for one client.
 
     Any reader may enqueue; only the owning client's writer dequeues.
+    ``max_payload`` is the limit the client negotiated; the registry queues
+    no DELIVER whose payload is longer.
     """
 
-    def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_QUEUE_CAPACITY, max_payload: int = MAX_PAYLOAD_LEN):
         self.queue: queue.Queue[Frame] = queue.Queue(maxsize=capacity)
+        self.max_payload = max_payload
 
     def offer(self, frame: Frame, wait_s: float) -> bool:
         """Enqueue with a bounded wait; False means the mailbox stayed full."""
@@ -144,6 +163,7 @@ class Registry:
         Raises:
             NotRegistered: sender has not registered.
             UnknownRecipient: no such recipient ID.
+            DeliveryTooLarge: the DELIVER exceeds the recipient's max_payload.
             RecipientBusy: recipient's mailbox stayed full past the wait.
         """
         with self._lock:
@@ -153,6 +173,12 @@ class Registry:
         if handle is None:
             raise UnknownRecipient(f"no such recipient: {to_id!r}")
         frame = Frame(MsgKind.DELIVER, pack_addressed(from_id, message))
+        # The DELIVER names the sender where the DIRECT named the recipient,
+        # so its length differs from the DIRECT's: check the DELIVER.
+        if len(frame.payload) > handle.max_payload:
+            raise DeliveryTooLarge(
+                f"{len(frame.payload)}-byte delivery exceeds {to_id!r}'s limit {handle.max_payload}"
+            )
         if not handle.offer(frame, self.enqueue_wait_s):
             raise RecipientBusy(f"recipient queue full: {to_id!r}")
 
@@ -160,8 +186,9 @@ class Registry:
         """Enqueue DELIVER for every client in a snapshot except the sender.
 
         A full mailbox is skipped at once: it neither stalls the sender for
-        ``enqueue_wait_s`` nor aborts the broadcast.  Returns the number
-        actually enqueued.
+        ``enqueue_wait_s`` nor aborts the broadcast.  So is a recipient whose
+        max_payload the DELIVER exceeds.  Returns the number actually
+        enqueued.
         """
         with self._lock:
             if from_id not in self._entries:
@@ -170,7 +197,9 @@ class Registry:
         frame = Frame(MsgKind.DELIVER, pack_addressed(from_id, message))
         delivered = 0
         for cid, handle in snapshot:
-            if handle.offer(frame, 0):
+            if len(frame.payload) > handle.max_payload:
+                log.warning("broadcast from %r skipped %r: delivery over its limit", from_id, cid)
+            elif handle.offer(frame, 0):
                 delivered += 1
             else:
                 log.warning("broadcast from %r skipped busy recipient %r", from_id, cid)
@@ -196,7 +225,9 @@ class RelayServer:
         self.registry = Registry(self.config.max_clients, self.config.enqueue_wait_s)
         self._stop = threading.Event()
         self._workers_lock = threading.Lock()
-        self._workers: set[threading.Thread] = set()
+        # Each reader thread with the endpoint it serves, so that shutdown
+        # can close the endpoint.
+        self._workers: dict[threading.Thread, object] = {}
         self._acceptor: threading.Thread | None = None
         self._client_seq = 0
 
@@ -232,9 +263,14 @@ class RelayServer:
             self._acceptor.join()
         while True:
             with self._workers_lock:
-                workers = list(self._workers)
+                workers = dict(self._workers)
             if not workers:
                 break
+            # Closing wakes a reader or writer blocked in a send to a client
+            # that stopped reading, which would otherwise hold the join for
+            # up to the endpoint's send timeout.
+            for endpoint in workers.values():
+                endpoint.close()
             for w in workers:
                 w.join()
 
@@ -261,7 +297,7 @@ class RelayServer:
                 daemon=True,
             )
             with self._workers_lock:
-                self._workers.add(worker)
+                self._workers[worker] = endpoint
             worker.start()
 
     def _refuse(self, endpoint) -> None:
@@ -281,7 +317,7 @@ class RelayServer:
         finally:
             endpoint.close()
             with self._workers_lock:
-                self._workers.discard(threading.current_thread())
+                self._workers.pop(threading.current_thread(), None)
 
     def _serve_client(self, endpoint) -> None:
         endpoint.max_payload = self.config.supported.max_payload
@@ -289,7 +325,7 @@ class RelayServer:
         if agreed is None:
             return
         endpoint.max_payload = agreed.max_payload
-        handle = DeliveryHandle(self.config.queue_capacity)
+        handle = DeliveryHandle(self.config.queue_capacity, agreed.max_payload)
         done = threading.Event()
         writer = threading.Thread(
             target=self._write_loop,
@@ -298,10 +334,18 @@ class RelayServer:
             daemon=True,
         )
         client_id: str | None = None
+        # A connection that never registers would hold its reader slot forever.
+        register_by = time.monotonic() + self.config.handshake_timeout_s
         try:
             while not self._stop.is_set():
+                timeout = self.config.poll_interval_s
+                if client_id is None:
+                    timeout = min(timeout, register_by - time.monotonic())
+                    if timeout <= 0:
+                        self._send_error(endpoint, ErrorCode.NOT_REGISTERED, "no REGISTER in time")
+                        break
                 try:
-                    frame = endpoint.recv_frame(self.config.poll_interval_s)
+                    frame = endpoint.recv_frame(timeout)
                 except TimedOut:
                     continue
                 except ConnectionClosed:

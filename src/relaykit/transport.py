@@ -146,7 +146,7 @@ class StreamEndpoint:
     def _pop_frame(self) -> Frame | None:
         # Bail out on a bad preamble now rather than trusting a garbage
         # length field and waiting for bytes that will never come.
-        probe = bytes(self._buf[: len(PREAMBLE)])
+        probe = self._buf[: len(PREAMBLE)]
         if probe != PREAMBLE[: len(probe)]:
             raise BadMagic(f"stream desynchronized: got {probe.hex()}")
         if len(self._buf) < HEADER_SIZE:
@@ -157,7 +157,11 @@ class StreamEndpoint:
         total = HEADER_SIZE + length
         if len(self._buf) < total:
             return None
-        frame, _ = decode_frame(bytes(self._buf[:total]))
+        # Parse in place; the payload is copied once, into the frame.  The
+        # view must be released before the buffer is resized, or the
+        # bytearray raises BufferError.
+        with memoryview(self._buf) as view:
+            frame, _ = decode_frame(view)
         del self._buf[:total]
         return frame
 

@@ -61,6 +61,18 @@ class TestArqSim:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_lossy_run_output_is_pinned(self):
+        # The flags of the benchmark's arq-lossy workload; the segment
+        # checksum feeds every accept/discard decision, so this pins it too.
+        result = run_cli("arq-sim", "--segments", "1000", "--payload-size", "32",
+                         "--loss", "0.2", "--dup", "0.01", "--corrupt", "0.01",
+                         "--max-delay", "3", "--window", "8", "--timeout", "8",
+                         "--seed", "42")
+        assert result.returncode == 0
+        assert result.stdout == (
+            "completed=true\nretransmissions=5192\nticks=7163\ndelivered=1000\n"
+        )
+
     def test_lossless_quick(self):
         result = run_cli("arq-sim", "--segments", "50", "--seed", "3")
         kv = parse_kv(result.stdout)

@@ -17,7 +17,7 @@ from relaykit.server import (
     ServerConfig,
     UnknownRecipient,
 )
-from relaykit.transport import ConnectionClosed, InMemoryHub, connect, listen
+from relaykit.transport import ConnectionClosed, InMemoryHub, StreamEndpoint, connect, listen
 from relaykit.wire import (
     DEFAULT_PARAMS,
     ErrorCode,
@@ -134,6 +134,25 @@ class TestPayloadLimit:
         endpoint._sock.sendall(header + b"x" * 4096)
         _expect_error_then_close(endpoint, ErrorCode.MALFORMED)
 
+    def test_no_delivery_above_the_recipients_limit(self, relay):
+        alice = relay.client("alice")
+        bob = ChatClient(relay.endpoint(), proposal=HandshakeParams(1, 8, 1024))
+        bob.handshake()
+        bob.register("bob")
+        # DELIVER payload = 1 + len("alice") + len(message), two bytes more
+        # than the DIRECT's 1 + len("bob") + len(message).
+        fits, over = b"f" * 1018, b"o" * 1019
+        alice.send_direct("bob", over)  # a 1023-byte DIRECT, a 1025-byte DELIVER
+        err = alice.errors.get(timeout=2.0)
+        assert err.code is ErrorCode.MALFORMED
+        alice.broadcast(over)
+        alice.send_direct("bob", fits)
+        assert bob.next_delivery(2.0) == ("alice", fits)
+        assert bob.next_delivery(0.3) is None
+        assert alice.errors.empty()  # a skipped broadcast recipient is no error
+        alice.bye()
+        bob.bye()
+
 
 class TestRegistration:
     def test_register_and_ack(self, relay):
@@ -185,6 +204,27 @@ class TestRegistration:
         with pytest.raises(RegistrationFailed):
             client.register("alice2")
         client.bye()
+
+
+class TestRegisterDeadline:
+    @pytest.mark.parametrize("transport", ["tcp", "mem"])
+    def test_connection_that_never_registers_is_closed(self, transport):
+        deadline, poll = 0.3, 0.1
+        fixture = ServerFixture(
+            transport, ServerConfig(poll_interval_s=poll, handshake_timeout_s=deadline)
+        )
+        try:
+            registered = fixture.client("early")
+            silent = fixture.endpoint()
+            _hello(silent)
+            started = time.monotonic()
+            _expect_error_then_close(silent, ErrorCode.NOT_REGISTERED)
+            elapsed = time.monotonic() - started
+            assert deadline - 0.1 < elapsed < deadline + poll, elapsed
+            assert registered.ping(b"still served")
+            registered.bye()
+        finally:
+            fixture.stop()
 
 
 class TestRouting:
@@ -413,6 +453,41 @@ class TestServerLifecycle:
         assert elapsed < 2 * poll + 0.2, elapsed
         assert fixture.server.worker_count == 0
         assert not [t.name for t in threading.enumerate() if t.name.endswith("-writer")]
+
+    def test_shutdown_is_not_held_by_a_client_that_stopped_reading(self, monkeypatch):
+        # The reader blocks in an inline ECHO_REPLY send once the client's
+        # receive buffer is full; shutdown must not wait out the send timeout.
+        monkeypatch.setattr(StreamEndpoint, "send_timeout_s", 3.0)
+        poll = 0.05
+        fixture = ServerFixture("tcp", ServerConfig(poll_interval_s=poll))
+        endpoint = fixture.endpoint()
+        _hello(endpoint)
+        sent = []
+
+        def flood():
+            try:
+                for _ in range(2000):
+                    endpoint.send_frame(Frame(MsgKind.ECHO, b"e" * 65536))
+                    sent.append(1)
+            except ConnectionClosed:
+                pass
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        flooder.start()
+        # The flood stalls once the reader is stuck in its send.
+        last, still_since = -1, time.monotonic()
+        while time.monotonic() - still_since < 0.5:
+            if len(sent) != last:
+                last, still_since = len(sent), time.monotonic()
+            time.sleep(0.05)
+        started = time.monotonic()
+        fixture.stop()
+        elapsed = time.monotonic() - started
+        endpoint.close()
+        flooder.join(timeout=5.0)
+        assert not flooder.is_alive()
+        assert elapsed < 2 * poll + 0.5, elapsed
+        assert fixture.server.worker_count == 0
 
     def test_deliver_frames_counted_once(self, relay):
         # every DELIVER corresponds to exactly one DIRECT in a lossless setup

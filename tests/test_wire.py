@@ -1,7 +1,10 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaykit.wire import (
+    CHECKSUM_CHUNK,
     BadMagic,
     ChecksumMismatch,
     ErrorCode,
@@ -221,3 +224,52 @@ def test_byte_sum():
     assert byte_sum(b"") == 0
     assert byte_sum(b"ab") == 0xC3
     assert byte_sum(b"\xff" * 65536) == 0
+
+
+# Every bytes-like input byte_sum meets: a memoryview slice that starts past
+# offset 0 is what the stream endpoint hands the codec.
+_BYTES_LIKE = [bytes, bytearray, memoryview, lambda raw: memoryview(b"\0" + raw)[1:]]
+_CHECKSUM_SIZES = st.one_of(
+    st.sampled_from(sorted({0, 1, 255, 256, 257, CHECKSUM_CHUNK - 1, CHECKSUM_CHUNK,
+                            CHECKSUM_CHUNK + 1, 2 * CHECKSUM_CHUNK + 1, 65536, 70 * 1024})),
+    st.integers(0, 70 * 1024),
+)
+
+
+@given(size=_CHECKSUM_SIZES, fill=st.none() | st.integers(0, 255),
+       seed=st.integers(0, 2**32 - 1), wrap=st.sampled_from(_BYTES_LIKE))
+@example(size=257, fill=0xFF, seed=0, wrap=bytes)
+@example(size=70 * 1024, fill=0xFF, seed=0, wrap=memoryview)
+@settings(max_examples=300)
+def test_byte_sum_equals_the_plain_sum(size, fill, seed, wrap):
+    raw = random.Random(seed).randbytes(size) if fill is None else bytes([fill]) * size
+    assert byte_sum(wrap(raw)) == sum(raw) & 0xFFFF
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 600])
+def test_flipping_any_payload_byte_is_detected(size):
+    rng = random.Random(size)
+    encoded = encode_frame(Frame(MsgKind.ECHO, rng.randbytes(size)))
+    for index in range(10, len(encoded)):
+        mutated = bytearray(encoded)
+        mutated[index] ^= rng.randrange(1, 256)
+        with pytest.raises(ChecksumMismatch):
+            decode_frame(mutated)
+
+
+@pytest.mark.parametrize("wrap", _BYTES_LIKE)
+def test_decode_accepts_any_bytes_like(wrap):
+    frame = Frame(MsgKind.DELIVER, bytes(range(256)) * 3)
+    encoded = encode_frame(frame) + b"tail"
+    decoded, unconsumed = decode_frame(wrap(encoded))
+    assert (decoded, unconsumed) == (frame, 4)
+    assert type(decoded.payload) is bytes
+
+
+def test_decode_error_leaves_no_view_on_the_buffer():
+    buf = bytearray(encode_frame(Frame(MsgKind.ECHO, b"x" * 300)))
+    buf[-1] ^= 1
+    with pytest.raises(ChecksumMismatch) as kept:
+        decode_frame(buf)
+    assert kept.value is not None  # the traceback, and its frames, stay alive
+    del buf[:10]  # a live export would make this raise BufferError
