@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,20 @@ class TestChannel:
         for t in range(1000):
             ch.push(b"datagram-%d" % t, t)
         assert len(ch.pop_ready(10**9)) == 494
+
+    def test_pinned_trace_digest_every_impairment_on(self):
+        # frozen: pins the draw order (loss, delay, dup, dup delay, corrupt index
+        # and mask) on its own; payload lengths 0-22 include empty datagrams,
+        # which draw the corruption chance but are never mutated
+        ch = LossyChannel(ChannelConfig(0.2, 0.3, 0.3, 4, seed=0xC0FFEE))
+        out = []
+        for t in range(400):
+            ch.push(bytes(range(t % 23)), t)
+            out.extend((t, p) for p in ch.pop_ready(t))
+        out.extend((-1, p) for p in ch.pop_ready(10**9))
+        assert len(out) == 413
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "31c337ce187e34ee802d3ba3eb943d259a8f62b385b50faab1f25ce7c34bba33"
 
     def test_forced_delays_order_by_deliver_tick(self):
         ch = LossyChannel(ChannelConfig(seed=1))

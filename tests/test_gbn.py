@@ -332,3 +332,129 @@ class TestRawDatagramContrast:
             config = ChannelConfig(loss_prob=0.2, max_delay=4, seed=seed)
             stats = run_transfer(payloads, config, window=8, timeout_ticks=8)
             assert stats.completed and stats.delivered == payloads
+
+
+# Outcomes of the grid below, frozen from the implementation before retransmissions
+# reused their encoded bytes: (completed, retransmissions, ticks, delivered_count),
+# one tuple per seed in _GOLDEN_SEEDS, keyed by (loss, dup, corrupt, max_delay,
+# window, timeout).  Any change to the draw order, the tick loop or the segment
+# bytes shows up here.
+_GOLDEN_SEEDS = (5, 2**63 + 11)
+_GOLDEN_PAYLOADS = [b"seg-%04d" % i for i in range(60)]
+_GOLDEN_GRID = {
+    (0.0, 0.0, 0.0, 0, 1, 2): [(True, 0, 120, 60), (True, 0, 120, 60)],
+    (0.0, 0.0, 0.0, 0, 1, 8): [(True, 0, 120, 60), (True, 0, 120, 60)],
+    (0.0, 0.0, 0.0, 0, 8, 2): [(True, 0, 16, 60), (True, 0, 16, 60)],
+    (0.0, 0.0, 0.0, 0, 8, 8): [(True, 0, 16, 60), (True, 0, 16, 60)],
+    (0.0, 0.0, 0.0, 3, 1, 2): [(True, 54, 210, 60), (True, 47, 192, 60)],
+    (0.0, 0.0, 0.0, 3, 1, 8): [(True, 0, 212, 60), (True, 0, 204, 60)],
+    (0.0, 0.0, 0.0, 3, 8, 2): [(True, 256, 133, 60), (True, 231, 130, 60)],
+    (0.0, 0.0, 0.0, 3, 8, 8): [(True, 215, 349, 60), (True, 240, 368, 60)],
+    (0.0, 0.0, 0.05, 0, 1, 2): [(True, 7, 134, 60), (True, 9, 138, 60)],
+    (0.0, 0.0, 0.05, 0, 1, 8): [(True, 7, 176, 60), (True, 9, 192, 60)],
+    (0.0, 0.0, 0.05, 0, 8, 2): [(True, 12, 22, 60), (True, 54, 36, 60)],
+    (0.0, 0.0, 0.05, 0, 8, 8): [(True, 12, 34, 60), (True, 54, 78, 60)],
+    (0.0, 0.0, 0.05, 3, 1, 2): [(True, 54, 207, 60), (True, 61, 219, 60)],
+    (0.0, 0.0, 0.05, 3, 1, 8): [(True, 7, 259, 60), (True, 9, 277, 60)],
+    (0.0, 0.0, 0.05, 3, 8, 2): [(True, 182, 109, 60), (True, 232, 123, 60)],
+    (0.0, 0.0, 0.05, 3, 8, 8): [(True, 183, 299, 60), (True, 230, 357, 60)],
+    (0.0, 0.05, 0.0, 0, 1, 2): [(True, 0, 120, 60), (True, 0, 120, 60)],
+    (0.0, 0.05, 0.0, 0, 1, 8): [(True, 0, 120, 60), (True, 0, 120, 60)],
+    (0.0, 0.05, 0.0, 0, 8, 2): [(True, 0, 16, 60), (True, 0, 16, 60)],
+    (0.0, 0.05, 0.0, 0, 8, 8): [(True, 0, 16, 60), (True, 0, 16, 60)],
+    (0.0, 0.05, 0.0, 3, 1, 2): [(True, 52, 202, 60), (True, 48, 195, 60)],
+    (0.0, 0.05, 0.0, 3, 1, 8): [(True, 0, 209, 60), (True, 0, 199, 60)],
+    (0.0, 0.05, 0.0, 3, 8, 2): [(True, 269, 141, 60), (True, 179, 93, 60)],
+    (0.0, 0.05, 0.0, 3, 8, 8): [(True, 221, 364, 60), (True, 174, 300, 60)],
+    (0.0, 0.05, 0.05, 0, 1, 2): [(True, 6, 132, 60), (True, 8, 136, 60)],
+    (0.0, 0.05, 0.05, 0, 1, 8): [(True, 6, 168, 60), (True, 8, 184, 60)],
+    (0.0, 0.05, 0.05, 0, 8, 2): [(True, 32, 28, 60), (True, 25, 28, 60)],
+    (0.0, 0.05, 0.05, 0, 8, 8): [(True, 32, 52, 60), (True, 25, 52, 60)],
+    (0.0, 0.05, 0.05, 3, 1, 2): [(True, 63, 220, 60), (True, 59, 220, 60)],
+    (0.0, 0.05, 0.05, 3, 1, 8): [(True, 6, 266, 60), (True, 8, 264, 60)],
+    (0.0, 0.05, 0.05, 3, 8, 2): [(True, 257, 133, 60), (True, 291, 142, 60)],
+    (0.0, 0.05, 0.05, 3, 8, 8): [(True, 248, 375, 60), (True, 249, 381, 60)],
+    (0.2, 0.0, 0.0, 0, 1, 2): [(True, 31, 182, 60), (True, 27, 174, 60)],
+    (0.2, 0.0, 0.0, 0, 1, 8): [(True, 31, 368, 60), (True, 27, 336, 60)],
+    (0.2, 0.0, 0.0, 0, 8, 2): [(True, 96, 50, 60), (True, 87, 56, 60)],
+    (0.2, 0.0, 0.0, 0, 8, 8): [(True, 96, 122, 60), (True, 87, 134, 60)],
+    (0.2, 0.0, 0.0, 3, 1, 2): [(True, 89, 277, 60), (True, 68, 237, 60)],
+    (0.2, 0.0, 0.0, 3, 1, 8): [(True, 31, 461, 60), (True, 27, 412, 60)],
+    (0.2, 0.0, 0.0, 3, 8, 2): [(True, 315, 147, 60), (True, 300, 143, 60)],
+    (0.2, 0.0, 0.0, 3, 8, 8): [(True, 348, 503, 60), (True, 290, 406, 60)],
+    (0.2, 0.0, 0.05, 0, 1, 2): [(True, 38, 196, 60), (True, 36, 192, 60)],
+    (0.2, 0.0, 0.05, 0, 1, 8): [(True, 38, 424, 60), (True, 36, 408, 60)],
+    (0.2, 0.0, 0.05, 0, 8, 2): [(True, 141, 72, 60), (True, 139, 72, 60)],
+    (0.2, 0.0, 0.05, 0, 8, 8): [(True, 141, 186, 60), (True, 139, 180, 60)],
+    (0.2, 0.0, 0.05, 3, 1, 2): [(True, 92, 285, 60), (True, 70, 242, 60)],
+    (0.2, 0.0, 0.05, 3, 1, 8): [(True, 38, 527, 60), (True, 36, 489, 60)],
+    (0.2, 0.0, 0.05, 3, 8, 2): [(True, 337, 155, 60), (True, 305, 145, 60)],
+    (0.2, 0.0, 0.05, 3, 8, 8): [(True, 333, 482, 60), (True, 278, 403, 60)],
+    (0.2, 0.05, 0.0, 0, 1, 2): [(True, 21, 162, 60), (True, 24, 168, 60)],
+    (0.2, 0.05, 0.0, 0, 1, 8): [(True, 21, 288, 60), (True, 24, 312, 60)],
+    (0.2, 0.05, 0.0, 0, 8, 2): [(True, 106, 64, 60), (True, 91, 54, 60)],
+    (0.2, 0.05, 0.0, 0, 8, 8): [(True, 106, 160, 60), (True, 91, 126, 60)],
+    (0.2, 0.05, 0.0, 3, 1, 2): [(True, 68, 235, 60), (True, 67, 237, 60)],
+    (0.2, 0.05, 0.0, 3, 1, 8): [(True, 21, 388, 60), (True, 24, 389, 60)],
+    (0.2, 0.05, 0.0, 3, 8, 2): [(True, 284, 141, 60), (True, 256, 135, 60)],
+    (0.2, 0.05, 0.0, 3, 8, 8): [(True, 290, 418, 60), (True, 242, 362, 60)],
+    (0.2, 0.05, 0.05, 0, 1, 2): [(True, 23, 166, 60), (True, 33, 186, 60)],
+    (0.2, 0.05, 0.05, 0, 1, 8): [(True, 23, 304, 60), (True, 33, 384, 60)],
+    (0.2, 0.05, 0.05, 0, 8, 2): [(True, 103, 62, 60), (True, 80, 52, 60)],
+    (0.2, 0.05, 0.05, 0, 8, 8): [(True, 103, 146, 60), (True, 80, 118, 60)],
+    (0.2, 0.05, 0.05, 3, 1, 2): [(True, 72, 245, 60), (True, 63, 223, 60)],
+    (0.2, 0.05, 0.05, 3, 1, 8): [(True, 23, 403, 60), (True, 33, 458, 60)],
+    (0.2, 0.05, 0.05, 3, 8, 2): [(True, 298, 134, 60), (True, 336, 156, 60)],
+    (0.2, 0.05, 0.05, 3, 8, 8): [(True, 344, 502, 60), (True, 325, 465, 60)],
+    (0.5, 0.0, 0.0, 0, 1, 2): [(True, 144, 408, 60), (True, 158, 436, 60)],
+    (0.5, 0.0, 0.0, 0, 1, 8): [(True, 144, 1272, 60), (True, 158, 1384, 60)],
+    (0.5, 0.0, 0.0, 0, 8, 2): [(True, 540, 206, 60), (True, 473, 184, 60)],
+    (0.5, 0.0, 0.0, 0, 8, 8): [(True, 540, 626, 60), (True, 473, 550, 60)],
+    (0.5, 0.0, 0.0, 3, 1, 2): [(True, 210, 518, 60), (True, 213, 520, 60)],
+    (0.5, 0.0, 0.0, 3, 1, 8): [(True, 144, 1358, 60), (True, 158, 1464, 60)],
+    (0.5, 0.0, 0.0, 3, 8, 2): [(True, 689, 268, 60), (True, 589, 229, 60)],
+    (0.5, 0.0, 0.0, 3, 8, 8): [(True, 676, 907, 60), (True, 588, 758, 60)],
+    (0.5, 0.0, 0.05, 0, 1, 2): [(True, 170, 460, 60), (True, 215, 550, 60)],
+    (0.5, 0.0, 0.05, 0, 1, 8): [(True, 170, 1480, 60), (True, 215, 1840, 60)],
+    (0.5, 0.0, 0.05, 0, 8, 2): [(True, 469, 192, 60), (True, 475, 186, 60)],
+    (0.5, 0.0, 0.05, 0, 8, 8): [(True, 469, 576, 60), (True, 475, 564, 60)],
+    (0.5, 0.0, 0.05, 3, 1, 2): [(True, 249, 587, 60), (True, 250, 597, 60)],
+    (0.5, 0.0, 0.05, 3, 1, 8): [(True, 170, 1570, 60), (True, 215, 1921, 60)],
+    (0.5, 0.0, 0.05, 3, 8, 2): [(True, 813, 287, 60), (True, 598, 224, 60)],
+    (0.5, 0.0, 0.05, 3, 8, 8): [(True, 800, 998, 60), (True, 611, 827, 60)],
+    (0.5, 0.05, 0.0, 0, 1, 2): [(True, 157, 434, 60), (True, 150, 420, 60)],
+    (0.5, 0.05, 0.0, 0, 1, 8): [(True, 157, 1376, 60), (True, 150, 1320, 60)],
+    (0.5, 0.05, 0.0, 0, 8, 2): [(True, 536, 206, 60), (True, 372, 150, 60)],
+    (0.5, 0.05, 0.0, 0, 8, 8): [(True, 536, 626, 60), (True, 372, 432, 60)],
+    (0.5, 0.05, 0.0, 3, 1, 2): [(True, 228, 552, 60), (True, 195, 489, 60)],
+    (0.5, 0.05, 0.0, 3, 1, 8): [(True, 157, 1467, 60), (True, 150, 1387, 60)],
+    (0.5, 0.05, 0.0, 3, 8, 2): [(True, 757, 264, 60), (True, 692, 254, 60)],
+    (0.5, 0.05, 0.0, 3, 8, 8): [(True, 749, 949, 60), (True, 712, 925, 60)],
+    (0.5, 0.05, 0.05, 0, 1, 2): [(True, 184, 488, 60), (True, 169, 458, 60)],
+    (0.5, 0.05, 0.05, 0, 1, 8): [(True, 184, 1592, 60), (True, 169, 1472, 60)],
+    (0.5, 0.05, 0.05, 0, 8, 2): [(True, 488, 184, 60), (True, 467, 188, 60)],
+    (0.5, 0.05, 0.05, 0, 8, 8): [(True, 488, 562, 60), (True, 467, 554, 60)],
+    (0.5, 0.05, 0.05, 3, 1, 2): [(True, 243, 582, 60), (True, 203, 506, 60)],
+    (0.5, 0.05, 0.05, 3, 1, 8): [(True, 184, 1691, 60), (True, 169, 1541, 60)],
+    (0.5, 0.05, 0.05, 3, 8, 2): [(True, 699, 266, 60), (True, 686, 260, 60)],
+    (0.5, 0.05, 0.05, 3, 8, 8): [(True, 828, 1051, 60), (True, 604, 786, 60)],
+}
+
+
+class TestGoldenGrid:
+    def test_grid_covers_every_knob(self):
+        assert len(_GOLDEN_GRID) == 3 * 2 * 2 * 2 * 2 * 2
+
+    @pytest.mark.parametrize("knobs", sorted(_GOLDEN_GRID))
+    def test_outcome_matches_frozen_table(self, knobs):
+        loss, dup, corrupt, delay, window, timeout = knobs
+        got = []
+        for seed in _GOLDEN_SEEDS:
+            stats = run_transfer(
+                _GOLDEN_PAYLOADS, ChannelConfig(loss, dup, corrupt, delay, seed), window, timeout
+            )
+            assert stats.delivered == _GOLDEN_PAYLOADS[: stats.delivered_count]
+            got.append(
+                (stats.completed, stats.retransmissions, stats.ticks_elapsed, stats.delivered_count)
+            )
+        assert got == _GOLDEN_GRID[knobs]
