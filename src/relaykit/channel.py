@@ -33,9 +33,9 @@ def rng_next(state: int) -> tuple[int, int]:
     Raises:
         ZeroSeedError: on state 0 (the generator's only fixed point).
     """
-    if state == 0:
-        raise ZeroSeedError("rng state must be nonzero")
     x = state & _U64
+    if x == 0:
+        raise ZeroSeedError("rng state must be nonzero mod 2**64")
     x ^= x >> 12
     x ^= (x << 25) & _U64
     x ^= x >> 27
@@ -85,48 +85,57 @@ class LossyChannel:
         self._state = config.seed
         self._heap: list[tuple[int, int, bytes]] = []
         self._counter = 0
+        # Integer thresholds, so prob=0 never fires and prob=1 always does.
+        self._loss_below = int(config.loss_prob * _TWO64)
+        self._dup_below = int(config.dup_prob * _TWO64)
+        self._corrupt_below = int(config.corrupt_prob * _TWO64)
+        self._delays = config.max_delay + 1
 
     def _draw(self) -> int:
-        self._state, out = rng_next(self._state)
-        return out
-
-    def _chance(self, prob: float) -> bool:
-        # Integer threshold so prob=0 never fires and prob=1 always does.
-        return self._draw() < int(prob * _TWO64)
-
-    def _uniform(self, n: int) -> int:
-        # Uniform integer in {0..n-1} from one draw.
-        return (self._draw() * n) >> 64
+        # rng_next, inlined: one draw per impairment decision.
+        x = self._state
+        x ^= x >> 12
+        x ^= (x << 25) & _U64
+        x ^= x >> 27
+        self._state = x
+        return (x * _MULT) & _U64
 
     def push(self, payload: bytes, now: int) -> None:
         """Submit a datagram at tick ``now``.
 
         Draws happen in a fixed order per push -- loss, delay, duplicate,
         (duplicate delay,) corruption -- so traces stay reproducible across
-        refactors.  Corruption XORs one byte of the original copy with a
-        nonzero mask; a duplicate is a pristine copy of the pushed bytes,
-        inserted after the original.
+        refactors.  A draw ``d`` picks from {0..n-1} as ``(d * n) >> 64``.
+        Corruption XORs one byte of the original copy with a nonzero mask; a
+        duplicate is a pristine copy of the pushed bytes, inserted after the
+        original.
         """
-        if self._chance(self.config.loss_prob):
+        draw = self._draw
+        if draw() < self._loss_below:
             return
-        delay = self._uniform(self.config.max_delay + 1)
+        delay = (draw() * self._delays) >> 64
         dup_delay = None
-        if self._chance(self.config.dup_prob):
-            dup_delay = self._uniform(self.config.max_delay + 1)
-        delivered = bytes(payload)
-        if self._chance(self.config.corrupt_prob) and delivered:
-            index = self._uniform(len(delivered))
-            mask = 1 + self._uniform(255)
-            mutated = bytearray(delivered)
-            mutated[index] ^= mask
-            delivered = bytes(mutated)
+        if draw() < self._dup_below:
+            dup_delay = (draw() * self._delays) >> 64
+        delivered = payload
+        if draw() < self._corrupt_below and payload:
+            index = (draw() * len(payload)) >> 64
+            mask = 1 + ((draw() * 255) >> 64)
+            delivered = bytearray(payload)
+            delivered[index] ^= mask
         self.schedule(delivered, now + delay)
         if dup_delay is not None:
-            self.schedule(bytes(payload), now + dup_delay)
+            self.schedule(payload, now + dup_delay)
 
     def schedule(self, payload: bytes, deliver_at: int) -> None:
-        """Queue a datagram for a specific tick, bypassing the impairment draws."""
-        heapq.heappush(self._heap, (deliver_at, self._counter, bytes(payload)))
+        """Queue a datagram for a specific tick, bypassing the impairment draws.
+
+        A bytes-like ``payload`` that is not ``bytes`` is copied, so the caller
+        may reuse its buffer.
+        """
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        heapq.heappush(self._heap, (deliver_at, self._counter, payload))
         self._counter += 1
 
     def pop_ready(self, now: int) -> list[bytes]:

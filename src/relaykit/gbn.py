@@ -12,7 +12,15 @@ delivering data at the wrong position.
 
 The state machines do no I/O and never read a clock: ticks arrive as
 arguments, which keeps every test exact.  ``run_transfer`` wires a sender and
-receiver through two LossyChannel instances on a shared tick loop.
+receiver through two LossyChannel instances on a shared tick loop.  It encodes
+each DATA segment once and keeps those bytes until the segment is acked, so a
+timeout pushes the stored bytes again instead of re-encoding the window.
+
+The checksum is one ``byte_sum`` pass over the packed header and the payload.
+Segments the codec builds itself (``data_segment``, ``ack_segment``,
+``decode_segment``) have their fields checked before the header is packed and
+skip ``Segment.__post_init__``; a ``Segment(...)`` built by a caller is checked
+in full.
 """
 
 from __future__ import annotations
@@ -45,10 +53,21 @@ class WindowFull(Exception):
     """Send window is closed; retry after acks arrive (backpressure, not failure)."""
 
 
+def _check_fields(seq: int, payload_len: int) -> None:
+    if not 0 <= seq < _SEQ_LIMIT:
+        raise ValueError(f"seq out of u32 range: {seq}")
+    if payload_len > MAX_SEGMENT_PAYLOAD:
+        raise ValueError("segment payload exceeds u16 length field")
+
+
 def segment_sum(kind: int, seq: int, payload: bytes) -> int:
-    """Byte-sum mod 65536 over header (checksum field zeroed) plus payload."""
-    header = _SEG_HEADER.pack(kind, seq, len(payload), 0)
-    return (byte_sum(header) + byte_sum(payload)) & 0xFFFF
+    """Byte-sum mod 65536 over header (checksum field zeroed) plus payload.
+
+    Raises:
+        ValueError: ``seq`` or the payload length does not fit its header field.
+    """
+    _check_fields(seq, len(payload))
+    return byte_sum(_SEG_HEADER.pack(kind, seq, len(payload), 0) + payload)
 
 
 @dataclass(frozen=True)
@@ -61,10 +80,7 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "kind", SegKind(self.kind))
         object.__setattr__(self, "payload", bytes(self.payload))
-        if not 0 <= self.seq < _SEQ_LIMIT:
-            raise ValueError(f"seq out of u32 range: {self.seq}")
-        if len(self.payload) > MAX_SEGMENT_PAYLOAD:
-            raise ValueError("segment payload exceeds u16 length field")
+        _check_fields(self.seq, len(self.payload))
         if self.kind is SegKind.ACK and self.payload:
             raise ValueError("ack segments carry no payload")
 
@@ -74,12 +90,25 @@ class Segment:
         return self.checksum == segment_sum(self.kind, self.seq, self.payload)
 
 
+_KINDS = {kind.value: kind for kind in SegKind}
+
+
+def _trusted_segment(kind: SegKind, seq: int, payload: bytes, checksum: int) -> Segment:
+    """A ``Segment`` from fields the caller has already checked, without ``__post_init__``."""
+    seg = object.__new__(Segment)
+    seg.__dict__.update(kind=kind, seq=seq, payload=payload, checksum=checksum)
+    return seg
+
+
 def data_segment(seq: int, payload: bytes) -> Segment:
-    return Segment(SegKind.DATA, seq, payload, segment_sum(SegKind.DATA, seq, payload))
+    if type(payload) is not bytes:
+        payload = bytes(payload)
+    return _trusted_segment(SegKind.DATA, seq, payload, segment_sum(SegKind.DATA, seq, payload))
 
 
 def ack_segment(next_expected: int) -> Segment:
-    return Segment(SegKind.ACK, next_expected, b"", segment_sum(SegKind.ACK, next_expected, b""))
+    checksum = segment_sum(SegKind.ACK, next_expected, b"")
+    return _trusted_segment(SegKind.ACK, next_expected, b"", checksum)
 
 
 def encode_segment(seg: Segment) -> bytes:
@@ -93,21 +122,21 @@ def decode_segment(data: bytes) -> Segment:
     not -- the receiver state machine owns that so it can still answer with a
     cumulative ack.
     """
-    data = bytes(data)
+    if type(data) is not bytes:
+        data = bytes(data)
     if len(data) < SEGMENT_HEADER_SIZE:
         raise LengthMismatch(f"segment needs {SEGMENT_HEADER_SIZE} header bytes, got {len(data)}")
     kind_byte, seq, length, checksum = _SEG_HEADER.unpack_from(data)
-    try:
-        kind = SegKind(kind_byte)
-    except ValueError:
-        raise UnknownKind(f"segment kind 0x{kind_byte:02x}") from None
+    kind = _KINDS.get(kind_byte)
+    if kind is None:
+        raise UnknownKind(f"segment kind 0x{kind_byte:02x}")
     if len(data) != SEGMENT_HEADER_SIZE + length:
         raise LengthMismatch(
             f"declared {length} payload bytes in a {len(data)}-byte datagram"
         )
     if kind is SegKind.ACK and length:
         raise LengthMismatch("ack segment with payload")
-    return Segment(kind, seq, data[SEGMENT_HEADER_SIZE:], checksum)
+    return _trusted_segment(kind, seq, data[SEGMENT_HEADER_SIZE:], checksum)
 
 
 class GbnSender:
@@ -230,6 +259,7 @@ def run_transfer(
     data_path = LossyChannel(config)
     ack_path = LossyChannel(_ack_config(config))
     pending = deque(payloads)
+    unacked_bytes: deque[bytes] = deque()  # encoded sender._unacked, oldest first
     delivered: list[bytes] = []
     retransmissions = 0
     total = len(payloads)
@@ -242,13 +272,17 @@ def run_transfer(
                 continue
             if seg.kind is SegKind.ACK and seg.valid:
                 sender.on_ack(seg.seq, now)
+        for _ in range(len(unacked_bytes) - sender.in_flight):
+            unacked_bytes.popleft()
         arrived = data_path.pop_ready(now)
-        for seg in sender.on_tick(now):
-            data_path.push(encode_segment(seg), now)
-            retransmissions += 1
+        if sender.on_tick(now):
+            for raw in unacked_bytes:
+                data_path.push(raw, now)
+            retransmissions += len(unacked_bytes)
         while pending and sender.can_send:
-            seg = sender.send(pending.popleft(), now)
-            data_path.push(encode_segment(seg), now)
+            raw = encode_segment(sender.send(pending.popleft(), now))
+            unacked_bytes.append(raw)
+            data_path.push(raw, now)
         for raw in arrived:
             try:
                 seg = decode_segment(raw)

@@ -28,6 +28,12 @@ class TestRng:
         with pytest.raises(ZeroSeedError):
             rng_next(0)
 
+    def test_state_zero_mod_2_64_rejected(self):
+        # 2**64 masks to the fixed point 0, which would return (0, 0) forever
+        for state in (2**64, 2**65, 3 * 2**64):
+            with pytest.raises(ZeroSeedError):
+                rng_next(state)
+
     def test_first_output_from_state_one(self):
         # frozen from the hand-run recurrence: 1 -> 0x2000001 -> * multiplier
         assert _oracle_step(1) == (0x2000001, 0x47E4CE4B896CDD1D)
@@ -37,6 +43,15 @@ class TestRng:
     @settings(max_examples=200)
     def test_matches_oracle(self, state):
         assert rng_next(state) == _oracle_step(state)
+
+    @given(st.integers(1, _U64), st.integers(1, 40))
+    @settings(max_examples=100)
+    def test_channel_draws_follow_rng_next_chain(self, seed, n):
+        ch = LossyChannel(ChannelConfig(seed=seed))
+        state = seed
+        for _ in range(n):
+            state, out = rng_next(state)
+            assert ch._draw() == out
 
     def test_outputs_fit_u64(self):
         state = 42
@@ -177,6 +192,16 @@ class TestChannel:
         diffs = [i for i, b in enumerate(corrupted[0]) if b != 0]
         assert len(diffs) == 1
         assert corrupted[0][diffs[0]] != 0  # mask drawn from 1..255
+
+    def test_pushed_buffer_is_copied(self):
+        ch = LossyChannel(ChannelConfig(dup_prob=1.0, seed=29))
+        buf = bytearray(b"before")
+        ch.push(buf, 0)
+        ch.schedule(memoryview(buf), 0)
+        buf[:] = b"after!"
+        out = ch.pop_ready(10**9)
+        assert out == [b"before"] * 3
+        assert all(type(raw) is bytes for raw in out)
 
     def test_in_flight_snapshot(self):
         ch = LossyChannel(ChannelConfig(max_delay=6, seed=23))

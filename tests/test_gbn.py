@@ -1,5 +1,14 @@
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from relaykit.channel import ChannelConfig, LossyChannel
 from relaykit.gbn import (
@@ -64,6 +73,46 @@ class TestSegmentCodec:
         # kind+seq+length bytes (checksum field excluded) plus the payload
         assert seg.checksum == (sum(encoded[:7]) + sum(b"ab")) & 0xFFFF
         assert seg.checksum == segment_sum(SegKind.DATA, 1, b"ab")
+
+
+    def test_oversize_payload_raises_value_error(self):
+        with pytest.raises(ValueError):
+            data_segment(0, b"x" * 70000)
+        with pytest.raises(ValueError):
+            segment_sum(SegKind.DATA, 0, b"x" * 70000)
+
+    def test_seq_out_of_range_raises_value_error(self):
+        for seq in (2**32, -1):
+            with pytest.raises(ValueError):
+                ack_segment(seq)
+            with pytest.raises(ValueError):
+                data_segment(seq, b"x")
+
+    def test_built_segments_hold_bytes_and_enum_kind(self):
+        seg = data_segment(3, bytearray(b"abc"))
+        assert type(seg.payload) is bytes and seg.kind is SegKind.DATA
+        assert seg == Segment(SegKind.DATA, 3, b"abc", seg.checksum) and seg.valid
+        assert hash(seg) == hash(Segment(SegKind.DATA, 3, b"abc", seg.checksum))
+        assert ack_segment(9) == Segment(SegKind.ACK, 9, b"", ack_segment(9).checksum)
+
+    @given(
+        kind=st.sampled_from(SegKind),
+        seq=st.integers(0, 2**32 - 1),
+        payload=st.binary(max_size=300),
+        checksum=st.integers(0, 0xFFFF),
+        as_type=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    @settings(max_examples=200)
+    def test_decoded_equals_public_constructor(self, kind, seq, payload, checksum, as_type):
+        if kind is SegKind.ACK:
+            payload = b""
+        raw = struct.pack(">BIHH", kind, seq, len(payload), checksum) + payload
+        decoded = decode_segment(as_type(raw))
+        built = Segment(kind, seq, payload, checksum)
+        assert decoded == built
+        assert decoded.kind is built.kind and type(decoded.payload) is bytes
+        assert decoded.valid == built.valid
+        assert encode_segment(decoded) == raw
 
 
 class TestSender:
@@ -147,6 +196,13 @@ class TestSender:
         sender.base = sender.next_seq  # pretend acked
         with pytest.raises(OverflowError):
             sender.send(b"wrap", 1)
+
+    def test_oversize_payload_leaves_window_unchanged(self):
+        sender = GbnSender(window=4, timeout_ticks=8)
+        with pytest.raises(ValueError):
+            sender.send(b"x" * 70000, 0)
+        assert (sender.base, sender.next_seq, sender.timer_expiry) == (0, 0, None)
+        assert sender.on_tick(100) == []
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -242,6 +298,128 @@ class TestWindowInvariant:
                 sender.on_tick(now)
             assert sender.base <= sender.next_seq <= sender.base + sender.window
             assert (sender.timer_expiry is not None) == (sender.base < sender.next_seq)
+
+
+class GbnModel(RuleBasedStateMachine):
+    """A sender and a receiver joined by a channel whose every move is a rule.
+
+    The data and ack paths are lists of datagrams in flight; rules deliver any
+    of them (so they reorder), drop, duplicate or corrupt one, send new data,
+    or advance the clock so the retransmission timer can fire.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.sender: GbnSender
+        self.receiver = GbnReceiver()
+        self.data: list[bytes] = []
+        self.acks: list[bytes] = []
+        self.sent: list[bytes] = []
+        self.encoded: list[bytes] = []  # first encoding of each seq
+        self.delivered: list[bytes] = []
+        self.now = 0
+
+    def _path(self, acks):
+        return self.acks if acks else self.data
+
+    @initialize(window=st.integers(1, 5), timeout=st.integers(1, 4))
+    def start(self, window, timeout):
+        self.sender = GbnSender(window, timeout)
+
+    @precondition(lambda self: self.sender.can_send)
+    @rule()
+    def send(self):
+        payload = b"p%d" % len(self.sent)
+        seg = self.sender.send(payload, self.now)
+        assert seg.seq == len(self.sent)
+        self.sent.append(payload)
+        self.encoded.append(encode_segment(seg))
+        self.data.append(self.encoded[-1])
+
+    @rule(ticks=st.integers(1, 5))
+    def tick(self, ticks):
+        self.now += ticks
+        base, next_seq = self.sender.base, self.sender.next_seq
+        resent = self.sender.on_tick(self.now)
+        if resent:
+            assert [seg.seq for seg in resent] == list(range(base, next_seq))
+            assert [encode_segment(seg) for seg in resent] == self.encoded[base:next_seq]
+            self.data.extend(encode_segment(seg) for seg in resent)
+
+    @precondition(lambda self: self.data)
+    @rule(pick=st.integers(0, 2**16))
+    def deliver_data(self, pick):
+        raw = self.data.pop(pick % len(self.data))
+        try:
+            seg = decode_segment(raw)
+        except (LengthMismatch, UnknownKind):
+            return
+        outs, ack = self.receiver.on_segment(seg)
+        self.delivered.extend(outs)
+        self.acks.append(encode_segment(ack))
+
+    @precondition(lambda self: self.acks)
+    @rule(pick=st.integers(0, 2**16))
+    def deliver_ack(self, pick):
+        raw = self.acks.pop(pick % len(self.acks))
+        try:
+            seg = decode_segment(raw)
+        except (LengthMismatch, UnknownKind):
+            return
+        if seg.kind is SegKind.ACK and seg.valid:
+            self.sender.on_ack(seg.seq, self.now)
+
+    @rule(offset=st.integers(0, 3), stale=st.booleans())
+    def stray_ack(self, offset, stale):
+        # an ack at or below base, or past next_seq, changes nothing
+        s = self.sender
+        seq = s.base - offset if stale else s.next_seq + 1 + offset
+        if seq >= 0:
+            before = (s.base, s.next_seq, s.timer_expiry)
+            s.on_ack(seq, self.now)
+            assert (s.base, s.next_seq, s.timer_expiry) == before
+
+    @rule(acks=st.booleans(), pick=st.integers(0, 2**16))
+    def drop(self, acks, pick):
+        path = self._path(acks)
+        if path:
+            path.pop(pick % len(path))
+
+    @rule(acks=st.booleans(), pick=st.integers(0, 2**16))
+    def duplicate(self, acks, pick):
+        path = self._path(acks)
+        if path:
+            path.append(path[pick % len(path)])
+
+    @rule(acks=st.booleans(), pick=st.integers(0, 2**16), at=st.integers(0, 2**16),
+          mask=st.integers(1, 255))
+    def corrupt(self, acks, pick, at, mask):
+        path = self._path(acks)
+        if path:
+            i = pick % len(path)
+            raw = bytearray(path[i])
+            raw[at % len(raw)] ^= mask
+            path[i] = bytes(raw)
+
+    @invariant()
+    def window_bounds(self):
+        s = self.sender
+        assert s.base <= s.next_seq <= s.base + s.window
+        assert (s.timer_expiry is not None) == (s.base < s.next_seq)
+
+    @invariant()
+    def delivered_is_a_prefix_of_sent(self):
+        assert self.delivered == self.sent[: len(self.delivered)]
+        assert self.receiver.expected == len(self.delivered)
+
+    @invariant()
+    def sender_never_ahead_of_receiver(self):
+        # one flipped byte always fails the checksum, so no ack outruns delivery
+        assert self.sender.base <= self.receiver.expected
+
+
+TestGbnModel = GbnModel.TestCase
+TestGbnModel.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
 
 
 class TestRunTransfer:
@@ -442,9 +620,6 @@ _GOLDEN_GRID = {
 
 
 class TestGoldenGrid:
-    def test_grid_covers_every_knob(self):
-        assert len(_GOLDEN_GRID) == 3 * 2 * 2 * 2 * 2 * 2
-
     @pytest.mark.parametrize("knobs", sorted(_GOLDEN_GRID))
     def test_outcome_matches_frozen_table(self, knobs):
         loss, dup, corrupt, delay, window, timeout = knobs
