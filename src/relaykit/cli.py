@@ -18,19 +18,9 @@ from .channel import ChannelConfig
 from .client import ChatClient, run_script
 from .gbn import run_transfer
 from .matmul import Matrix, matmul_parallel, matmul_serial
-from .server import RelayServer, ServerConfig
-from .transport import TimedOut, bind_datagram, connect, listen
-from .wire import (
-    DEFAULT_PARAMS,
-    ErrorCode,
-    Frame,
-    MsgKind,
-    VersionMismatch,
-    negotiate,
-    pack_error,
-    pack_hello,
-    unpack_hello,
-)
+from .server import RelayServer, ServerConfig, hello_reply
+from .transport import bind_datagram, connect, listen
+from .wire import DEFAULT_PARAMS, ErrorCode, Frame, MsgKind, pack_error
 
 # Datagram sessions cap the payload below the usual MTU to avoid fragmentation.
 DATAGRAM_MAX_PAYLOAD = 1400
@@ -131,18 +121,10 @@ def _serve_udp(addr: str) -> int:
         while True:
             try:
                 frame, peer = endpoint.recv_frame_from(0.2)
-            except TimedOut:
-                continue
-            except Exception:
+            except Exception:  # a timeout, or a datagram that is not a frame
                 continue
             if frame.kind is MsgKind.HELLO:
-                try:
-                    agreed = negotiate(unpack_hello(frame.payload), supported)
-                    reply = Frame(MsgKind.HELLO_ACK, pack_hello(agreed))
-                except VersionMismatch as exc:
-                    reply = Frame(MsgKind.ERROR, pack_error(ErrorCode.VERSION_MISMATCH, str(exc)))
-                except ValueError as exc:
-                    reply = Frame(MsgKind.ERROR, pack_error(ErrorCode.MALFORMED, str(exc)))
+                reply, _ = hello_reply(frame.payload, supported)
             elif frame.kind is MsgKind.ECHO:
                 reply = Frame(MsgKind.ECHO_REPLY, frame.payload)
             elif frame.kind is MsgKind.BYE:

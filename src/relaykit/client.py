@@ -68,6 +68,7 @@ class ChatClient:
 
     def handshake(self, timeout: float = 5.0) -> HandshakeParams:
         """Run HELLO / HELLO_ACK synchronously and start the reader."""
+        self.endpoint.max_payload = self.proposal.max_payload
         self.endpoint.send_frame(Frame(MsgKind.HELLO, pack_hello(self.proposal)))
         reply = self.endpoint.recv_frame(timeout)
         if reply.kind is MsgKind.ERROR:
@@ -80,6 +81,7 @@ class ChatClient:
         if agreed != negotiate(self.proposal, agreed):
             raise HandshakeFailed(f"server offered parameters above our proposal: {agreed}")
         self.agreed = agreed
+        self.endpoint.max_payload = agreed.max_payload
         self._reader = threading.Thread(target=self._read_loop, name="client-reader", daemon=True)
         self._reader.start()
         return agreed

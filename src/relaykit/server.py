@@ -1,22 +1,21 @@
 """Thread-per-client relay server.
 
-Each accepted connection gets a reader thread that runs the handshake, then
-the request loop, and once the client registers a writer thread of its own.  A
-shared registry maps client IDs to per-client mailboxes; routing a message
-means looking the recipient up under the registry lock and enqueueing outside
-it, so the locked region stays O(1) and never serializes traffic.  The writer
-blocks on its client's mailbox and writes each DELIVER the moment it is
-queued, so delivery never waits for the recipient's reader.  The reader blocks
-in ``recv_frame``, answers ECHO, REGISTER and errors inline, and wakes every
-``poll_interval_s`` only to check for shutdown.  Both write to the same
-endpoint, which keeps their frames whole.
+Each accepted connection gets a reader thread, and once the client registers
+a writer thread of its own.  The protocol lives in a ``Session``, which does
+no I/O: the reader blocks in ``recv_frame``, feeds each frame to the
+session, sends what it answers and closes when it says so.  It wakes every
+``poll_interval_s`` only to check for shutdown or the session's deadline.
+HELLO has one implementation, ``hello_reply``, shared with the datagram
+responder.  A shared registry maps client IDs to per-client mailboxes.  The
+writer blocks on its client's mailbox and writes each DELIVER the moment it
+is queued.  Both threads write to one endpoint, which keeps frames whole.
 
 The server enforces what it negotiates: a received frame over the agreed
 ``max_payload`` gets ERROR MALFORMED and a close, and no DELIVER is queued
-for a client above the limit that client agreed.  A connection that has not
-registered within ``handshake_timeout_s`` of its HELLO_ACK is closed.
-``shutdown`` closes every client endpoint before joining, so a thread blocked
-in a send to a client that stopped reading cannot hold it.
+for a client above the limit that client agreed.  HELLO, and then REGISTER,
+must each arrive within ``handshake_timeout_s``.  ``shutdown`` closes every
+client endpoint before joining, so a thread blocked in a send to a client
+that stopped reading cannot hold it.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import logging
 import queue
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .transport import ConnectionClosed, TimedOut, TransportError
@@ -50,6 +50,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_QUEUE_CAPACITY = 1024
 DEFAULT_ENQUEUE_WAIT_S = 0.1
+_ACCEPT_BACKOFF_S = 0.05  # the acceptor's wait before it retries a failed accept
 
 
 class RoutingError(Exception):
@@ -216,6 +217,100 @@ class ServerConfig:
     supported: HandshakeParams = field(default_factory=lambda: DEFAULT_PARAMS)
 
 
+_NO_REPLY: tuple[Frame, ...] = ()  # one constant: a routed frame allocates no list
+
+
+def _error(code: ErrorCode, detail: str) -> Frame:
+    return Frame(MsgKind.ERROR, pack_error(code, detail))
+
+
+def hello_reply(payload: bytes, supported: HandshakeParams) -> tuple[Frame, HandshakeParams | None]:
+    """The server's answer to a HELLO: ``(HELLO_ACK, agreed)`` or ``(ERROR, None)``."""
+    try:
+        agreed = negotiate(unpack_hello(payload), supported)
+    except VersionMismatch as exc:
+        return _error(ErrorCode.VERSION_MISMATCH, str(exc)), None
+    except ValueError as exc:
+        return _error(ErrorCode.MALFORMED, str(exc)), None
+    return Frame(MsgKind.HELLO_ACK, pack_hello(agreed)), agreed
+
+
+class Session:
+    """The relay protocol of one connection, with no I/O.
+
+    The caller sends the frames ``on_frame`` or ``expire`` returns, then
+    closes if told to.  ``deadline`` is when HELLO, then REGISTER, is due,
+    and ``None`` once registered.  ``client_id`` is set in the step that
+    registers it, so ``close`` unregisters it even if REGISTER_ACK is lost.
+    """
+
+    def __init__(self, registry: Registry, config: ServerConfig, now: float):
+        self._registry = registry
+        self._config = config
+        self.handle: DeliveryHandle | None = None
+        self.client_id: str | None = None
+        self.max_payload = config.supported.max_payload
+        self.deadline: float | None = now + config.handshake_timeout_s
+
+    def on_frame(self, frame: Frame, now: float) -> tuple[Sequence[Frame], bool]:
+        kind = frame.kind
+        if self.handle is None:
+            if kind is not MsgKind.HELLO:
+                return [_error(ErrorCode.MALFORMED, "expected HELLO")], True
+            reply, agreed = hello_reply(frame.payload, self._config.supported)
+            if agreed is not None:
+                self.max_payload = agreed.max_payload
+                self.handle = DeliveryHandle(self._config.queue_capacity, agreed.max_payload)
+                self.deadline = now + self._config.handshake_timeout_s
+            return [reply], agreed is None
+        if kind is MsgKind.DIRECT or kind is MsgKind.BROADCAST:
+            if self.client_id is None:
+                return [_error(ErrorCode.NOT_REGISTERED, "register first")], False
+            try:
+                if kind is MsgKind.DIRECT:
+                    to_id, message = unpack_addressed(frame.payload)
+                    self._registry.route_direct(self.client_id, to_id, message)
+                else:
+                    self._registry.broadcast(self.client_id, frame.payload)
+            except ValueError as exc:
+                return [_error(ErrorCode.MALFORMED, str(exc))], False
+            except RoutingError as exc:
+                return [_error(exc.code, str(exc))], False
+            return _NO_REPLY, False
+        if kind is MsgKind.ECHO:
+            return [Frame(MsgKind.ECHO_REPLY, frame.payload)], False
+        if kind is MsgKind.REGISTER:
+            return [self._register(frame.payload)], False
+        if kind is MsgKind.BYE:
+            return _NO_REPLY, True
+        return [_error(ErrorCode.MALFORMED, f"unexpected kind {kind.name}")], False
+
+    def _register(self, payload: bytes) -> Frame:
+        if self.client_id is not None:
+            return _error(ErrorCode.MALFORMED, "already registered")
+        try:
+            client_id = payload.decode("utf-8")
+            self._registry.register(client_id, self.handle)
+        except ValueError as exc:  # includes UnicodeDecodeError
+            return _error(ErrorCode.MALFORMED, f"bad id: {exc}")
+        except RoutingError as exc:
+            return _error(exc.code, str(exc))
+        self.client_id, self.deadline = client_id, None
+        return Frame(MsgKind.REGISTER_ACK)
+
+    def expire(self) -> tuple[Sequence[Frame], bool]:
+        """The deadline passed: close, after HELLO with an ERROR first."""
+        if self.handle is None:
+            return _NO_REPLY, True
+        return [_error(ErrorCode.NOT_REGISTERED, "no REGISTER in time")], True
+
+    def close(self) -> None:
+        """Unregister the client's id; calling it again does nothing."""
+        if self.client_id is not None:
+            self._registry.unregister(self.client_id)
+            self.client_id = None
+
+
 class RelayServer:
     """Acceptor plus a reader and a writer thread per client connection."""
 
@@ -283,8 +378,10 @@ class RelayServer:
             except ConnectionClosed:
                 break
             except OSError as exc:
-                # Accept failures must not kill the acceptor.
+                # Out of descriptors or memory, or a peer that reset before
+                # accept returned: none of these ends the acceptor.
                 log.warning("accept failed: %s", exc)
+                self._stop.wait(_ACCEPT_BACKOFF_S)
                 continue
             if self.worker_count >= self.config.max_clients:
                 self._refuse(endpoint)
@@ -302,9 +399,7 @@ class RelayServer:
 
     def _refuse(self, endpoint) -> None:
         try:
-            endpoint.send_frame(
-                Frame(MsgKind.ERROR, pack_error(ErrorCode.RECIPIENT_BUSY, "server full"))
-            )
+            endpoint.send_frame(_error(ErrorCode.RECIPIENT_BUSY, "server full"))
         except TransportError:
             pass
         endpoint.close()
@@ -320,58 +415,47 @@ class RelayServer:
                 self._workers.pop(threading.current_thread(), None)
 
     def _serve_client(self, endpoint) -> None:
-        endpoint.max_payload = self.config.supported.max_payload
-        agreed = self._handshake(endpoint)
-        if agreed is None:
-            return
-        endpoint.max_payload = agreed.max_payload
-        handle = DeliveryHandle(self.config.queue_capacity, agreed.max_payload)
+        session = Session(self.registry, self.config, time.monotonic())
         done = threading.Event()
-        writer = threading.Thread(
-            target=self._write_loop,
-            args=(endpoint, handle, done),
-            name=f"{threading.current_thread().name}-writer",
-            daemon=True,
-        )
-        client_id: str | None = None
-        # A connection that never registers would hold its reader slot forever.
-        register_by = time.monotonic() + self.config.handshake_timeout_s
+        writer: threading.Thread | None = None
         try:
             while not self._stop.is_set():
-                timeout = self.config.poll_interval_s
-                if client_id is None:
-                    timeout = min(timeout, register_by - time.monotonic())
-                    if timeout <= 0:
-                        self._send_error(endpoint, ErrorCode.NOT_REGISTERED, "no REGISTER in time")
-                        break
+                endpoint.max_payload = session.max_payload
+                wait = self.config.poll_interval_s
+                if session.deadline is not None:
+                    wait = min(wait, session.deadline - time.monotonic())
                 try:
-                    frame = endpoint.recv_frame(timeout)
+                    if wait <= 0:
+                        replies, close = session.expire()
+                    else:
+                        replies, close = session.on_frame(endpoint.recv_frame(wait), time.monotonic())
                 except TimedOut:
                     continue
-                except ConnectionClosed:
-                    break
                 except ProtocolError as exc:
-                    self._send_error(endpoint, ErrorCode.MALFORMED, str(exc))
-                    break
-                if frame.kind is MsgKind.BYE:
-                    break
-                try:
-                    client_id = self._dispatch(endpoint, frame, client_id, handle)
-                except ConnectionClosed:
+                    replies, close = [_error(ErrorCode.MALFORMED, str(exc))], True
+                for reply in replies:
+                    endpoint.send_frame(reply)
+                if close:
                     break
                 # Only a registered client is sent DELIVERs.  Starting its
                 # writer after REGISTER_ACK has gone out keeps them behind it.
-                if client_id is not None and writer.ident is None:
+                if writer is None and session.client_id is not None:
+                    writer = threading.Thread(
+                        target=self._write_loop,
+                        args=(endpoint, session.handle, done),
+                        name=f"{threading.current_thread().name}-writer",
+                        daemon=True,
+                    )
                     writer.start()
+        except ConnectionClosed:
+            pass
         finally:
-            # Entry must be gone before the worker exits.  Closing the
-            # endpoint also wakes a writer blocked on a peer that stopped
-            # reading.
-            if client_id is not None:
-                self.registry.unregister(client_id)
+            # Entry must be gone before the worker exits.  Closing the endpoint
+            # also wakes a writer blocked on a peer that stopped reading.
+            session.close()
             done.set()
             endpoint.close()
-            if writer.ident is not None:
+            if writer is not None:
                 writer.join()
 
     def _write_loop(self, endpoint, handle: DeliveryHandle, done: threading.Event) -> None:
@@ -382,79 +466,3 @@ class RelayServer:
         except TransportError:
             # The peer is gone or stopped reading; end the reader too.
             endpoint.close()
-
-    def _handshake(self, endpoint) -> HandshakeParams | None:
-        try:
-            frame = endpoint.recv_frame(self.config.handshake_timeout_s)
-        except (TimedOut, ConnectionClosed):
-            return None
-        except ProtocolError as exc:
-            self._send_error(endpoint, ErrorCode.MALFORMED, str(exc))
-            return None
-        if frame.kind is not MsgKind.HELLO:
-            self._send_error(endpoint, ErrorCode.MALFORMED, "expected HELLO")
-            return None
-        try:
-            proposal = unpack_hello(frame.payload)
-            agreed = negotiate(proposal, self.config.supported)
-        except VersionMismatch as exc:
-            self._send_error(endpoint, ErrorCode.VERSION_MISMATCH, str(exc))
-            return None
-        except ValueError as exc:
-            self._send_error(endpoint, ErrorCode.MALFORMED, str(exc))
-            return None
-        try:
-            endpoint.send_frame(Frame(MsgKind.HELLO_ACK, pack_hello(agreed)))
-        except TransportError:
-            return None
-        return agreed
-
-    def _dispatch(self, endpoint, frame: Frame, client_id: str | None, handle) -> str | None:
-        kind = frame.kind
-        if kind is MsgKind.ECHO:
-            endpoint.send_frame(Frame(MsgKind.ECHO_REPLY, frame.payload))
-            return client_id
-        if kind is MsgKind.REGISTER:
-            return self._handle_register(endpoint, frame, client_id, handle)
-        if kind in (MsgKind.DIRECT, MsgKind.BROADCAST):
-            if client_id is None:
-                self._send_error(endpoint, ErrorCode.NOT_REGISTERED, "register first")
-                return client_id
-            self._handle_message(endpoint, frame, client_id)
-            return client_id
-        self._send_error(endpoint, ErrorCode.MALFORMED, f"unexpected kind {kind.name}")
-        return client_id
-
-    def _handle_register(self, endpoint, frame, client_id, handle) -> str | None:
-        if client_id is not None:
-            self._send_error(endpoint, ErrorCode.MALFORMED, "already registered")
-            return client_id
-        try:
-            new_id = frame.payload.decode("utf-8")
-            self.registry.register(new_id, handle)
-        except (UnicodeDecodeError, ValueError) as exc:
-            self._send_error(endpoint, ErrorCode.MALFORMED, f"bad id: {exc}")
-            return None
-        except RoutingError as exc:
-            self._send_error(endpoint, exc.code, str(exc))
-            return None
-        endpoint.send_frame(Frame(MsgKind.REGISTER_ACK))
-        return new_id
-
-    def _handle_message(self, endpoint, frame, client_id: str) -> None:
-        try:
-            if frame.kind is MsgKind.DIRECT:
-                to_id, message = unpack_addressed(frame.payload)
-                self.registry.route_direct(client_id, to_id, message)
-            else:
-                self.registry.broadcast(client_id, frame.payload)
-        except ValueError as exc:
-            self._send_error(endpoint, ErrorCode.MALFORMED, str(exc))
-        except RoutingError as exc:
-            self._send_error(endpoint, exc.code, str(exc))
-
-    def _send_error(self, endpoint, code: ErrorCode, detail: str) -> None:
-        try:
-            endpoint.send_frame(Frame(MsgKind.ERROR, pack_error(code, detail)))
-        except TransportError:
-            pass

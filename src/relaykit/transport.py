@@ -178,20 +178,28 @@ class StreamListener:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        self._closed = False
         self.addr = format_addr(sock.getsockname())
 
     def accept(self, timeout: float) -> StreamEndpoint:
-        self._sock.settimeout(timeout)
         try:
+            self._sock.settimeout(timeout)
             conn, _ = self._sock.accept()
         except socket.timeout:
             raise TimedOut(f"no connection within {timeout:.3f}s") from None
         except OSError:
-            raise ConnectionClosed("listener closed") from None
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return StreamEndpoint(conn)
+            if self._closed:
+                raise ConnectionClosed("listener closed") from None
+            raise  # EMFILE and the like: the listener still works
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return StreamEndpoint(conn)
+        except OSError:  # e.g. ENOTCONN: the peer reset before accept returned
+            conn.close()
+            raise
 
     def close(self) -> None:
+        self._closed = True
         self._sock.close()
 
 

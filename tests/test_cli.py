@@ -125,13 +125,14 @@ class _ServeProcess:
         try:
             return self.proc.wait(timeout=10)
         finally:
-            if self.proc.poll() is None:
-                self.proc.kill()
+            self.kill()
 
     def kill(self):
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait()
+        self.proc.stdout.close()
+        self.proc.stderr.close()
 
 
 @pytest.fixture

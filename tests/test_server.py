@@ -1,4 +1,7 @@
+import errno
+import socket
 import statistics
+import struct
 import threading
 import time
 
@@ -25,6 +28,7 @@ from relaykit.wire import (
     HandshakeParams,
     MsgKind,
     encode_frame,
+    pack_addressed,
     pack_hello,
 )
 
@@ -102,6 +106,27 @@ class TestHandshake:
         assert reply.kind is MsgKind.ERROR
         assert reply.payload[0] == ErrorCode.MALFORMED
         endpoint.close()
+
+    def test_garbage_before_hello_gets_malformed_and_close(self, tcp_relay):
+        endpoint = tcp_relay.endpoint()
+        endpoint._sock.sendall(b"not a frame at all")
+        _expect_error_then_close(endpoint, ErrorCode.MALFORMED)
+
+    def test_client_refuses_a_frame_above_the_agreed_limit(self):
+        # The peer agrees to 1024 bytes, then sends a 2048-byte DELIVER.
+        hub = InMemoryHub()
+        client = ChatClient(hub.connect())
+        peer = hub.listener().accept(1.0)
+        peer.send_frame(Frame(MsgKind.HELLO_ACK, pack_hello(HandshakeParams(1, 8, 1024))))
+        peer.send_frame(Frame(MsgKind.DELIVER, pack_addressed("mallory", b"m" * 2040)))
+        assert client.handshake().max_payload == 1024
+        assert client.endpoint.max_payload == 1024
+        client._reader.join(2.0)
+        assert not client._reader.is_alive()
+        assert client.next_delivery(0.1) is None
+        client.close()
+        peer.close()
+        hub.close()
 
 
 def _hello(endpoint, params=DEFAULT_PARAMS):
@@ -416,6 +441,56 @@ class TestServerLifecycle:
         client = tcp_relay.client("dropper")
         client.endpoint.close()  # no BYE, just gone
         assert _wait_until(lambda: "dropper" not in tcp_relay.server.registry.ids())
+
+    def test_failed_register_ack_leaves_no_ghost_in_memory(self):
+        # The peer is closed when the ack goes out, so its send raises.
+        fixture = ServerFixture("mem")
+        try:
+            endpoint = fixture.endpoint()
+            _hello(endpoint)
+            endpoint.send_frame(Frame(MsgKind.REGISTER, b"ghost"))
+            endpoint.close()
+            assert _wait_until(lambda: fixture.server.worker_count == 0)
+            assert fixture.server.registry.ids() == set()
+        finally:
+            fixture.stop()
+
+    def test_reset_during_register_leaves_no_ghost_over_tcp(self, tcp_relay):
+        for i in range(20):
+            endpoint = tcp_relay.endpoint()
+            _hello(endpoint)
+            # SO_LINGER 0: close sends a reset instead of a FIN.
+            endpoint._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            endpoint.send_frame(Frame(MsgKind.REGISTER, b"ghost-%02d" % i))
+            endpoint._sock.close()
+        assert _wait_until(lambda: tcp_relay.server.worker_count == 0)
+        assert tcp_relay.server.registry.ids() == set()
+
+    def test_acceptor_survives_emfile(self):
+        class OutOfDescriptorsOnce:
+            def __init__(self, sock):
+                self._sock, self.failed = sock, False
+
+            def accept(self):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return self._sock.accept()
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        listener = listen("127.0.0.1:0")
+        flaky = listener._sock = OutOfDescriptorsOnce(listener._sock)
+        server = RelayServer(listener, ServerConfig(poll_interval_s=0.01))
+        server.start()
+        try:
+            assert _wait_until(lambda: flaky.failed)
+            client = ChatClient(connect(server.addr))
+            client.handshake(timeout=2.0)
+            client.bye()
+        finally:
+            server.shutdown()
 
     def test_server_full_refused(self):
         fixture = ServerFixture("tcp", ServerConfig(max_clients=2, poll_interval_s=0.01))

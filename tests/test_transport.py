@@ -1,3 +1,4 @@
+import errno
 import socket
 import threading
 import time
@@ -64,6 +65,64 @@ class TestListen:
         assert client.remote_addr == listener.addr
         client.close()
         server_side.close()
+        listener.close()
+
+    def test_accept_raises_connection_closed_only_once_closed(self):
+        listener = listen("127.0.0.1:0")
+        real = listener._sock
+
+        class Failing:
+            def settimeout(self, timeout):
+                pass
+
+            def accept(self):
+                raise OSError(errno.EMFILE, "Too many open files")
+
+        listener._sock = Failing()
+        with pytest.raises(OSError) as exc_info:
+            listener.accept(0.05)
+        assert exc_info.value.errno == errno.EMFILE
+        listener._sock = real
+        listener.close()
+        with pytest.raises(ConnectionClosed):
+            listener.accept(0.05)
+
+    def test_accepted_socket_closed_when_the_peer_already_reset(self):
+        listener = listen("127.0.0.1:0")
+
+        class ResetConn:
+            closed = False
+
+            def setsockopt(self, *args):
+                pass
+
+            def settimeout(self, timeout):
+                pass
+
+            def getsockname(self):
+                return ("127.0.0.1", 1)
+
+            def getpeername(self):
+                raise OSError(errno.ENOTCONN, "Transport endpoint is not connected")
+
+            def close(self):
+                self.closed = True
+
+        conn = ResetConn()
+
+        class Accepting:
+            def settimeout(self, timeout):
+                pass
+
+            def accept(self):
+                return conn, ("127.0.0.1", 2)
+
+        real, listener._sock = listener._sock, Accepting()
+        with pytest.raises(OSError) as exc_info:
+            listener.accept(0.05)
+        assert exc_info.value.errno == errno.ENOTCONN
+        assert conn.closed
+        listener._sock = real
         listener.close()
 
 
