@@ -466,6 +466,33 @@ class TestRunTransfer:
         with pytest.raises(ValueError):
             run_transfer([b"x"], ChannelConfig(seed=1), max_ticks=0)
 
+    def test_data_path_skips_a_datagram_corrupted_into_an_ack(self, monkeypatch):
+        # XOR 0x01 on the kind byte of a payload-free DATA segment leaves a
+        # well-formed ACK, which the data path must drop without answering.
+        # Seed 4 does that exactly once in this transfer.
+        config = ChannelConfig(loss_prob=0.1, dup_prob=0.1, corrupt_prob=0.5, max_delay=2, seed=4)
+        popped = []
+        pop_ready = LossyChannel.pop_ready
+
+        def record_data_path(channel, now):
+            ready = pop_ready(channel, now)
+            if channel.config is config:
+                popped.extend(ready)
+            return ready
+
+        monkeypatch.setattr(LossyChannel, "pop_ready", record_data_path)
+        stats = run_transfer([b""] * 100, config, window=4, timeout_ticks=6)
+        outcome = (stats.completed, stats.retransmissions, stats.ticks_elapsed, stats.delivered_count)
+        assert outcome == (True, 465, 885, 100)
+        assert stats.delivered == [b""] * 100
+        kinds = []
+        for raw in popped:
+            try:
+                kinds.append(decode_segment(raw).kind)
+            except (LengthMismatch, UnknownKind):
+                pass
+        assert kinds.count(SegKind.ACK) == 1
+
     @given(
         seed=st.integers(1, 2**64 - 1),
         loss=st.floats(0.0, 0.6),

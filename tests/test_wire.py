@@ -201,6 +201,11 @@ class TestPayloadCodecs:
         with pytest.raises(ValueError):
             unpack_addressed(b"\x09abc")  # declares 9 id bytes, has 3
 
+    def test_addressed_id_length_out_of_range(self):
+        for id_len in (0, 65):
+            with pytest.raises(ValueError, match="out of range"):
+                unpack_addressed(bytes([id_len]) + b"x" * 80)
+
     def test_client_id_bounds(self):
         assert check_client_id("x" * 64) == b"x" * 64
         with pytest.raises(ValueError):
@@ -218,6 +223,10 @@ class TestPayloadCodecs:
     def test_error_bad_code(self):
         with pytest.raises(ValueError):
             unpack_error(b"\x09detail")
+
+    def test_error_empty_payload(self):
+        with pytest.raises(ValueError, match="empty"):
+            unpack_error(b"")
 
 
 def test_byte_sum():
