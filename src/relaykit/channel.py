@@ -143,9 +143,12 @@ class LossyChannel:
 
         Ordered by (deliver_at, insertion order).
         """
+        heap = self._heap
+        if not heap or heap[0][0] > now:
+            return []
         out = []
-        while self._heap and self._heap[0][0] <= now:
-            out.append(heapq.heappop(self._heap)[2])
+        while heap and heap[0][0] <= now:
+            out.append(heapq.heappop(heap)[2])
         return out
 
     @property

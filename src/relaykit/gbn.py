@@ -14,7 +14,11 @@ The state machines do no I/O and never read a clock: ticks arrive as
 arguments, which keeps every test exact.  ``run_transfer`` wires a sender and
 receiver through two LossyChannel instances on a shared tick loop.  It encodes
 each DATA segment once and keeps those bytes until the segment is acked, so a
-timeout pushes the stored bytes again instead of re-encoding the window.
+timeout pushes the stored bytes again instead of re-encoding the window.  The
+receiver keeps one ACK until ``expected`` moves, and ``run_transfer`` encodes
+an ACK only when it changes.  Retransmissions, duplicates and repeated ACKs
+arrive as bytes already seen, so each path keeps a bounded dict from datagram
+bytes to their segment and decodes only bytes it has not seen.
 
 The checksum is one ``byte_sum`` pass over the packed header and the payload.
 Segments the codec builds itself (``data_segment``, ``ack_segment``,
@@ -38,6 +42,10 @@ _SEG_HEADER = struct.Struct(">BIHH")
 SEGMENT_HEADER_SIZE = _SEG_HEADER.size  # 9 bytes
 MAX_SEGMENT_PAYLOAD = 0xFFFF
 _SEQ_LIMIT = 2**32
+
+# run_transfer's decode caches are cleared when they hold this many windows'
+# worth of datagrams, which bounds their memory for any transfer length.
+_CACHE_WINDOWS = 16
 
 # Ack-path channel seed is offset from the data path so the two streams
 # draw independent sequences from one user-facing seed.
@@ -201,21 +209,23 @@ class GbnReceiver:
 
     def __init__(self):
         self.expected = 0
+        self._ack = ack_segment(0)
 
     def on_segment(self, seg: Segment) -> tuple[list[bytes], Segment]:
         """Process a DATA segment.
 
         In-order valid data is delivered and bumps ``expected``; anything else
         (out-of-order or corrupt) is discarded.  Either way the reply is
-        ACK(expected).
+        ACK(expected), the same object until ``expected`` moves.
         """
         if seg.kind is not SegKind.DATA:
             raise ValueError("receiver handles DATA segments only")
         delivered: list[bytes] = []
-        if seg.valid and seg.seq == self.expected:
+        if seg.seq == self.expected and seg.valid:
             delivered.append(seg.payload)
             self.expected += 1
-        return delivered, ack_segment(self.expected)
+            self._ack = ack_segment(self.expected)
+        return delivered, self._ack
 
 
 @dataclass
@@ -227,6 +237,36 @@ class TransferStats:
     ticks_elapsed: int
     completed: bool
     delivered: list[bytes] = field(default_factory=list)
+
+
+class _Decoded(dict):
+    """Datagram bytes -> the segment they decode to if ``keep`` accepts it, else None.
+
+    Decodes on a miss, and is cleared before an entry that would make it
+    hold more than ``limit``.  ``decode_segment`` is a pure function of the
+    bytes, so a hit is exact.
+    """
+
+    def __init__(self, keep, limit: int):
+        super().__init__()
+        self._keep = keep
+        self._limit = limit
+
+    def remember(self, raw: bytes, seg: Segment | None) -> None:
+        if len(self) >= self._limit:
+            self.clear()
+        self[raw] = seg
+
+    def __missing__(self, raw: bytes) -> Segment | None:
+        try:
+            seg = decode_segment(raw)
+        except (LengthMismatch, UnknownKind):
+            seg = None
+        else:
+            if not self._keep(seg):
+                seg = None
+        self.remember(raw, seg)
+        return seg
 
 
 def _ack_config(config: ChannelConfig) -> ChannelConfig:
@@ -251,6 +291,14 @@ def run_transfer(
 
     Stops when everything is delivered or ``max_ticks`` runs out; an
     incomplete run is reported in the stats, not raised.
+
+    Each path keeps a dict from datagram bytes to their segment, cleared at
+    ``_CACHE_WINDOWS * window`` entries: the data path keeps DATA segments
+    for the receiver, which checks their checksums, and the ack path keeps
+    only valid ACKs.  Each new DATA segment and each new ACK is encoded once,
+    and its bytes enter the dict with the segment they were encoded from, so
+    apart from bytes that outlive a clear, only bytes the channel corrupted
+    are decoded.
     """
     if max_ticks <= 0:
         raise ValueError("max_ticks must be positive")
@@ -258,6 +306,10 @@ def run_transfer(
     receiver = GbnReceiver()
     data_path = LossyChannel(config)
     ack_path = LossyChannel(_ack_config(config))
+    cache_limit = _CACHE_WINDOWS * window
+    data_segs = _Decoded(lambda seg: seg.kind is SegKind.DATA, cache_limit)
+    valid_acks = _Decoded(lambda seg: seg.kind is SegKind.ACK and seg.valid, cache_limit)
+    ack = ack_raw = None
     pending = deque(payloads)
     unacked_bytes: deque[bytes] = deque()  # encoded sender._unacked, oldest first
     delivered: list[bytes] = []
@@ -266,11 +318,8 @@ def run_transfer(
     now = 0
     while now < max_ticks and len(delivered) < total:
         for raw in ack_path.pop_ready(now):
-            try:
-                seg = decode_segment(raw)
-            except (LengthMismatch, UnknownKind):
-                continue
-            if seg.kind is SegKind.ACK and seg.valid:
+            seg = valid_acks[raw]
+            if seg is not None:
                 sender.on_ack(seg.seq, now)
         for _ in range(len(unacked_bytes) - sender.in_flight):
             unacked_bytes.popleft()
@@ -280,19 +329,21 @@ def run_transfer(
                 data_path.push(raw, now)
             retransmissions += len(unacked_bytes)
         while pending and sender.can_send:
-            raw = encode_segment(sender.send(pending.popleft(), now))
+            seg = sender.send(pending.popleft(), now)
+            raw = encode_segment(seg)
+            data_segs.remember(raw, seg)
             unacked_bytes.append(raw)
             data_path.push(raw, now)
         for raw in arrived:
-            try:
-                seg = decode_segment(raw)
-            except (LengthMismatch, UnknownKind):
+            seg = data_segs[raw]
+            if seg is None:
                 continue
-            if seg.kind is not SegKind.DATA:
-                continue
-            outs, ack = receiver.on_segment(seg)
+            outs, reply = receiver.on_segment(seg)
             delivered.extend(outs)
-            ack_path.push(encode_segment(ack), now)
+            if reply is not ack:
+                ack, ack_raw = reply, encode_segment(reply)
+                valid_acks.remember(ack_raw, ack)
+            ack_path.push(ack_raw, now)
         now += 1
     return TransferStats(
         delivered_count=len(delivered),

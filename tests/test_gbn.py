@@ -1,4 +1,6 @@
 import struct
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from relaykit import gbn
 from relaykit.channel import ChannelConfig, LossyChannel
 from relaykit.gbn import (
     GbnReceiver,
@@ -246,6 +249,21 @@ class TestReceiver:
     def test_rejects_ack_input(self):
         with pytest.raises(ValueError):
             GbnReceiver().on_segment(ack_segment(0))
+
+    def test_ack_is_one_object_until_expected_moves(self):
+        receiver = GbnReceiver()
+        _, ack = receiver.on_segment(data_segment(2, b"early"))
+        _, again = receiver.on_segment(Segment(SegKind.DATA, 0, b"bad", checksum=1))
+        assert again is ack
+        assert ack == ack_segment(0)
+        seen = [ack]
+        for i in range(3):
+            _, ack = receiver.on_segment(data_segment(i, b"x"))
+            assert ack == ack_segment(i + 1)
+            assert all(ack is not old for old in seen)
+            _, repeat = receiver.on_segment(data_segment(i, b"x"))
+            assert repeat is ack
+            seen.append(ack)
 
 
 class TestDropFirstSegmentScenario:
@@ -492,6 +510,54 @@ class TestRunTransfer:
             except (LengthMismatch, UnknownKind):
                 pass
         assert kinds.count(SegKind.ACK) == 1
+
+    def test_repeated_datagrams_are_not_decoded_or_encoded_again(self, monkeypatch):
+        # The arq-lossy benchmark's inputs, as `arq-sim` builds them for
+        # --payload-size 32 --seed 42: most datagrams repeat bytes the
+        # transfer has already seen (retransmissions, duplicates, repeated
+        # ACKs), so few of them are decoded.
+        calls = {"popped": 0, "decode": 0, "ack_encode": 0}
+        pop_ready, decode, encode = LossyChannel.pop_ready, gbn.decode_segment, gbn.encode_segment
+
+        def counted_pop_ready(channel, now):
+            ready = pop_ready(channel, now)
+            calls["popped"] += len(ready)
+            return ready
+
+        def counted_decode(data):
+            calls["decode"] += 1
+            return decode(data)
+
+        def counted_encode(seg):
+            calls["ack_encode"] += seg.kind is SegKind.ACK
+            return encode(seg)
+
+        monkeypatch.setattr(LossyChannel, "pop_ready", counted_pop_ready)
+        monkeypatch.setattr(gbn, "decode_segment", counted_decode)
+        monkeypatch.setattr(gbn, "encode_segment", counted_encode)
+        payloads = [struct.pack(">I", i) + bytes([i & 0xFF]) * 28 for i in range(1000)]
+        config = ChannelConfig(loss_prob=0.2, dup_prob=0.01, corrupt_prob=0.01, max_delay=3, seed=42)
+        stats = run_transfer(payloads, config, window=8, timeout_ticks=8, max_ticks=1_000_000)
+        assert (stats.completed, stats.retransmissions, stats.ticks_elapsed) == (True, 5192, 7163)
+        assert stats.delivered == payloads
+        assert calls["decode"] * 3 < calls["popped"]
+        assert calls["ack_encode"] <= stats.delivered_count + 1
+
+    def test_decode_caches_stay_bounded_on_a_long_transfer(self):
+        # 20 000 segments push ~40 000 distinct datagrams through the two
+        # paths; what the transfer holds beyond the delivered payloads must
+        # not grow with them.
+        payloads = [b"%016d" % i for i in range(20_000)]
+        config = ChannelConfig(loss_prob=0.2, seed=3)
+        tracemalloc.start()
+        try:
+            stats = run_transfer(payloads, config, window=8, timeout_ticks=8, max_ticks=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.completed
+        held = sum(map(sys.getsizeof, stats.delivered)) + sys.getsizeof(stats.delivered)
+        assert peak < held + 2 * 2**20
 
     @given(
         seed=st.integers(1, 2**64 - 1),
